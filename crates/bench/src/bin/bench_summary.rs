@@ -3,7 +3,7 @@
 //! worker threads), the `throughput` section (measurements/second plus
 //! steady-state allocation counts from a counting global allocator), and
 //! the `work_budgets` section — deterministic work counters of the shared
-//! trace campaign that `wimi-trace budget` gates CI against. The budgets
+//! trace campaign that `wimi-experiments artifact budget` gates CI against. The budgets
 //! and allocation counts are schedule-independent, so they hold exactly
 //! on any host; only the `*_s` timings and `meas_per_s_*` rates vary.
 //!
@@ -233,7 +233,7 @@ fn main() {
     let (capture_allocs, measure_allocs) = steady_state_allocs(packets);
 
     // Deterministic work budgets: the exact counters the shared trace
-    // campaign produces today. `wimi-trace budget` fails CI if any run
+    // campaign produces today. `artifact budget` fails CI if any run
     // ever does MORE work than this — a silent perf/coverage regression.
     let campaign = trace_campaign(Effort::quick());
     render_artifact(&campaign).expect("trace artifact must self-validate");

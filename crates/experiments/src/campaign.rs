@@ -21,11 +21,12 @@ use wimi_campaign::{
 };
 use wimi_core::{WiMi, WiMiConfig};
 use wimi_ml::dataset::Dataset;
+use wimi_obs::artifact::{budget_table, check_budgets, diff, DiffOutcome};
 use wimi_obs::{CounterId, Recorder};
 use wimi_phy::scenario::{Beaker, LiquidSpec};
 use wimi_phy::units::Meters;
 use wimi_trace::artifact::{cell_artifact_name, render_cell, CampaignTag};
-use wimi_trace::{analyze, TraceSink};
+use wimi_trace::TraceSink;
 
 use crate::harness::{measure_target, RunOptions};
 
@@ -376,45 +377,13 @@ pub fn summary_json(outcome: &CampaignOutcome) -> String {
     out
 }
 
-/// Checks a campaign's aggregated work totals against the `work_budgets`
-/// object of a committed bench summary (`BENCH_PR7.json`), mirroring the
-/// `wimi-trace` budget gate: exceeding any ceiling fails, and so does a
-/// budget name with no matching total.
-///
-/// # Errors
-///
-/// One-line message for unparsable bench JSON, a missing/empty
-/// `work_budgets` object, or an unknown budget name.
-pub fn check_campaign_budgets(
-    bench_json: &str,
-    outcome: &CampaignOutcome,
-) -> Result<Vec<analyze::BudgetRow>, String> {
-    let bench = wimi_obs::json::parse(bench_json).map_err(|e| format!("bench summary: {e}"))?;
-    let Some(wimi_obs::json::Json::Obj(budgets)) = bench.get("work_budgets") else {
-        return Err("bench summary has no \"work_budgets\" object".into());
-    };
-    if budgets.is_empty() {
-        return Err("\"work_budgets\" is empty — nothing to gate on".into());
-    }
-    let totals = work_totals(outcome);
-    let mut rows = Vec::new();
-    for (name, value) in budgets {
-        let budget = value
-            .as_u64()
-            .ok_or_else(|| format!("budget \"{name}\" must be a non-negative integer"))?;
-        let actual = totals
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
-            .ok_or_else(|| format!("budget \"{name}\" does not match any campaign work total"))?;
-        rows.push(analyze::BudgetRow {
-            name: name.clone(),
-            actual,
-            budget,
-            ok: actual <= budget,
-        });
-    }
-    Ok(rows)
+/// The `work_budgets` lookup of `campaign-run --check`: one of the
+/// campaign's [`work_totals`] by name.
+pub fn work_total(outcome: &CampaignOutcome, name: &str) -> Option<u64> {
+    work_totals(outcome)
+        .into_iter()
+        .find(|(n, _)| n == name)
+        .map(|(_, v)| v)
 }
 
 fn read_campaign(path: &str) -> Campaign {
@@ -436,7 +405,7 @@ fn read_campaign(path: &str) -> Campaign {
 
 /// `campaign-validate PATH`: parses and validates a campaign file,
 /// printing its expanded size, or a one-line error on stderr with exit 1
-/// (mirroring `obs-validate`).
+/// (mirroring `artifact validate`).
 pub fn campaign_validate(path: &str) {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
@@ -557,9 +526,9 @@ pub fn campaign_run(path: &str, out_dir: Option<&str>, cell: Option<u64>, check:
                 std::process::exit(2);
             }
         };
-        match check_campaign_budgets(&bench, &outcome) {
+        match check_budgets(&bench, "work_budgets", |name| work_total(&outcome, name)) {
             Ok(rows) => {
-                print!("{}", analyze::budget_table(&rows));
+                print!("{}", budget_table(&rows));
                 if rows.iter().any(|r| !r.ok) {
                     eprintln!("campaign-run: work budget exceeded (see table above)");
                     std::process::exit(1);
@@ -576,7 +545,8 @@ pub fn campaign_run(path: &str, out_dir: Option<&str>, cell: Option<u64>, check:
 /// `campaign-diff DIR_A DIR_B`: compares the `.jsonl` artifacts of two
 /// campaign output directories for byte-identity (the thread-count
 /// invariance gate). File sets must match; the first divergence is
-/// reported with the `wimi-trace` diff context. Exit 0 iff identical.
+/// reported with the shared first-divergence diff context. Exit 0 iff
+/// identical.
 pub fn campaign_diff(dir_a: &str, dir_b: &str) {
     let list = |dir: &str| -> Vec<String> {
         let entries = match std::fs::read_dir(dir) {
@@ -621,9 +591,9 @@ pub fn campaign_diff(dir_a: &str, dir_b: &str) {
         };
         let a = read(dir_a);
         let b = read(dir_b);
-        match analyze::diff(&a, &b) {
-            analyze::DiffOutcome::Identical => {}
-            analyze::DiffOutcome::Diverged { report, .. } => {
+        match diff(&a, &b) {
+            DiffOutcome::Identical => {}
+            DiffOutcome::Diverged { report, .. } => {
                 eprintln!("campaign-diff: {name} diverges:");
                 eprint!("{report}");
                 std::process::exit(1);
@@ -685,13 +655,13 @@ mod tests {
             parsed.get("cells").and_then(wimi_obs::json::Json::as_u64),
             Some(2)
         );
-        // The totals gate accepts a bench file with generous ceilings…
-        let bench =
-            "{\"work_budgets\": {\"trace_events\": 99999999, \"captures_taken\": 99999999}}";
-        let rows = check_campaign_budgets(bench, &outcome).expect("budgets check");
-        assert!(rows.iter().all(|r| r.ok));
-        // …and fails closed on an unknown budget name.
-        let bad = "{\"work_budgets\": {\"warp_drives\": 1}}";
-        assert!(check_campaign_budgets(bad, &outcome).is_err());
+        // The budget lookup reads the summed work totals by name.
+        let totals = work_totals(&outcome);
+        for (name, total) in &totals {
+            assert_eq!(work_total(&outcome, name), Some(*total), "{name}");
+        }
+        let trace_events: u64 = outcome.cells.iter().map(|c| c.trace_events).sum();
+        assert_eq!(work_total(&outcome, "trace_events"), Some(trace_events));
+        assert_eq!(work_total(&outcome, "warp_drives"), None);
     }
 }

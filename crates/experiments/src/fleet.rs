@@ -3,103 +3,17 @@
 //!
 //! This is the CLI surface CI drives: one run at `WIMI_THREADS=1` and one
 //! at `WIMI_THREADS=4` must produce byte-identical summaries (`cmp`), and
-//! `--check BENCH_PR9.json` gates the run's deterministic totals against
-//! the committed `fleet_budgets` ceilings, fail-closed like the campaign
-//! gate.
+//! `--check BENCH_PR10.json` gates the run's deterministic totals against
+//! the committed `fleet_budgets` ceilings (and the timeline against
+//! `metrics_budgets`) through the shared `artifact budget` gate.
+//! `fleet-report` joins a validated summary and timeline into tables.
 
-use wimi_metrics::Timeline;
+use wimi_metrics::{parse_summary_rows, render_report};
+use wimi_obs::artifact::budget_table;
+use wimi_obs::json;
 use wimi_serve::{run_campaign_fleet, run_fleet, summary_json, validate_summary, FleetConfig};
-use wimi_trace::analyze;
 
-/// Deterministic gateable totals of a fleet report: service totals first,
-/// then every fleet-wide counter, canonical order.
-fn fleet_totals(report: &wimi_serve::FleetReport) -> Vec<(String, u64)> {
-    let mut totals: Vec<(String, u64)> = vec![
-        ("requests".to_owned(), report.requests),
-        ("responses".to_owned(), report.responses),
-        ("ok".to_owned(), report.ok),
-        ("failed".to_owned(), report.failed),
-        ("shed".to_owned(), report.shed),
-        ("correct".to_owned(), report.correct),
-        ("model_keys".to_owned(), report.model_keys as u64),
-        ("queue_peak".to_owned(), report.queue_peak as u64),
-    ];
-    for &(name, value) in &report.counters {
-        totals.push((name.to_owned(), value));
-    }
-    totals
-}
-
-/// Checks a fleet report's deterministic totals against the
-/// `fleet_budgets` object of a committed bench summary. Fail-closed: a
-/// missing or empty object, a non-integer budget, or a budget name that
-/// matches no total is an error, not a skip.
-pub fn check_fleet_budgets(
-    bench_json: &str,
-    report: &wimi_serve::FleetReport,
-) -> Result<Vec<analyze::BudgetRow>, String> {
-    let bench = wimi_obs::json::parse(bench_json).map_err(|e| format!("bench summary: {e}"))?;
-    let Some(wimi_obs::json::Json::Obj(budgets)) = bench.get("fleet_budgets") else {
-        return Err("bench summary has no \"fleet_budgets\" object".into());
-    };
-    if budgets.is_empty() {
-        return Err("\"fleet_budgets\" is empty — nothing to gate on".into());
-    }
-    let totals = fleet_totals(report);
-    let mut rows = Vec::new();
-    for (name, value) in budgets {
-        let budget = value
-            .as_u64()
-            .ok_or_else(|| format!("budget \"{name}\" must be a non-negative integer"))?;
-        let actual = totals
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
-            .ok_or_else(|| format!("budget \"{name}\" does not match any fleet total"))?;
-        rows.push(analyze::BudgetRow {
-            name: name.clone(),
-            actual,
-            budget,
-            ok: actual <= budget,
-        });
-    }
-    Ok(rows)
-}
-
-/// Checks a fleet timeline's windowed aggregates against the
-/// `metrics_budgets` object of a committed bench summary: each budget
-/// name must be a timeline series, gated on the series' windowed `max`.
-/// Fail-closed: a missing or empty object, a non-integer budget, or a
-/// name that is not a series is an error, not a skip.
-pub fn check_metrics_budgets(
-    bench_json: &str,
-    timeline: &Timeline,
-) -> Result<Vec<analyze::BudgetRow>, String> {
-    let bench = wimi_obs::json::parse(bench_json).map_err(|e| format!("bench summary: {e}"))?;
-    let Some(wimi_obs::json::Json::Obj(budgets)) = bench.get("metrics_budgets") else {
-        return Err("bench summary has no \"metrics_budgets\" object".into());
-    };
-    if budgets.is_empty() {
-        return Err("\"metrics_budgets\" is empty — nothing to gate on".into());
-    }
-    let mut rows = Vec::new();
-    for (name, value) in budgets {
-        let budget = value
-            .as_u64()
-            .ok_or_else(|| format!("budget \"{name}\" must be a non-negative integer"))?;
-        let actual = timeline
-            .aggregate(name)
-            .map(|s| s.max)
-            .ok_or_else(|| format!("budget \"{name}\" is not a timeline series"))?;
-        rows.push(analyze::BudgetRow {
-            name: name.clone(),
-            actual,
-            budget,
-            ok: actual <= budget,
-        });
-    }
-    Ok(rows)
-}
+use crate::artifact;
 
 /// `fleet [--sessions N] [--measurements M] [--campaign PATH]
 /// [--fleet-out PATH] [--metrics-out PATH] [--slo POLICY] [--check BENCH]`:
@@ -232,115 +146,59 @@ pub fn fleet_run(
                 std::process::exit(2);
             }
         };
-        match check_fleet_budgets(&bench, &report) {
-            Ok(rows) => {
-                print!("{}", analyze::budget_table(&rows));
-                if rows.iter().any(|r| !r.ok) {
-                    eprintln!("fleet: budget check FAILED against {bench_path}");
-                    std::process::exit(1);
-                }
-                eprintln!("fleet: budget check OK against {bench_path}");
-            }
-            Err(e) => {
-                eprintln!("fleet: {e}");
-                std::process::exit(1);
-            }
-        }
+        gate("budget", &bench, bench_path, &summary);
         // A bench summary that carries telemetry ceilings gates them
         // too (older summaries without the object stay valid).
-        if wimi_obs::json::parse(&bench)
+        if json::parse(&bench)
             .ok()
             .is_some_and(|b| b.get("metrics_budgets").is_some())
         {
-            match check_metrics_budgets(&bench, &report.timeline) {
-                Ok(rows) => {
-                    print!("{}", analyze::budget_table(&rows));
-                    if rows.iter().any(|r| !r.ok) {
-                        eprintln!("fleet: metrics budget check FAILED against {bench_path}");
-                        std::process::exit(1);
-                    }
-                    eprintln!("fleet: metrics budget check OK against {bench_path}");
-                }
-                Err(e) => {
-                    eprintln!("fleet: {e}");
-                    std::process::exit(1);
-                }
-            }
+            gate("metrics budget", &bench, bench_path, &timeline_text);
         }
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn tiny_report() -> wimi_serve::FleetReport {
-        run_fleet(&FleetConfig {
-            sessions: 4,
-            measurements: 2,
-            packets: 8,
-            ..FleetConfig::default()
-        })
+/// Gates one rendered fleet artifact against its section of `bench`
+/// (see [`artifact::budget`]), printing the table; exit 1 on failure.
+fn gate(label: &str, bench: &str, bench_path: &str, text: &str) {
+    match artifact::budget(bench, text) {
+        Ok(rows) => {
+            print!("{}", budget_table(&rows));
+            if rows.iter().any(|r| !r.ok) {
+                eprintln!("fleet: {label} check FAILED against {bench_path}");
+                std::process::exit(1);
+            }
+            eprintln!("fleet: {label} check OK against {bench_path}");
+        }
+        Err(e) => {
+            eprintln!("fleet: {e}");
+            std::process::exit(1);
+        }
     }
+}
 
-    #[test]
-    fn budgets_gate_fleet_totals() {
-        let report = tiny_report();
-        let bench = format!(
-            "{{\"fleet_budgets\": {{\"requests\": {}, \"failed\": {}, \"captures_taken\": 100000}}}}",
-            report.requests, report.failed
-        );
-        let rows = check_fleet_budgets(&bench, &report)
-            .unwrap_or_else(|e| panic!("budgets must parse: {e}"));
-        assert!(rows.iter().all(|r| r.ok));
-
-        let tight = "{\"fleet_budgets\": {\"requests\": 0}}";
-        let rows = check_fleet_budgets(tight, &report)
-            .unwrap_or_else(|e| panic!("budgets must parse: {e}"));
-        assert!(rows.iter().any(|r| !r.ok), "zero ceiling must trip");
-    }
-
-    #[test]
-    fn metrics_budgets_gate_windowed_maxima() {
-        let report = tiny_report();
-        let peak = report
-            .timeline
-            .aggregate("queue_peak")
-            .map(|s| s.max)
-            .unwrap_or(0);
-        let bench = format!(
-            "{{\"metrics_budgets\": {{\"queue_peak\": {peak}, \"shed\": 0, \"packets_processed\": 99999}}}}"
-        );
-        let rows = check_metrics_budgets(&bench, &report.timeline)
-            .unwrap_or_else(|e| panic!("budgets must parse: {e}"));
-        assert!(rows.iter().all(|r| r.ok), "{rows:?}");
-
-        let tight = "{\"metrics_budgets\": {\"requests\": 0}}";
-        let rows = check_metrics_budgets(tight, &report.timeline)
-            .unwrap_or_else(|e| panic!("budgets must parse: {e}"));
-        assert!(rows.iter().any(|r| !r.ok), "zero ceiling must trip");
-
-        // Fail-closed: no object, empty object, unknown series.
-        assert!(check_metrics_budgets("{}", &report.timeline).is_err());
-        assert!(check_metrics_budgets("{\"metrics_budgets\": {}}", &report.timeline).is_err());
-        assert!(check_metrics_budgets(
-            "{\"metrics_budgets\": {\"no_such_series\": 1}}",
-            &report.timeline
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn budget_check_fails_closed() {
-        let report = tiny_report();
-        assert!(check_fleet_budgets("{}", &report).is_err());
-        assert!(check_fleet_budgets("{\"fleet_budgets\": {}}", &report).is_err());
-        assert!(
-            check_fleet_budgets("{\"fleet_budgets\": {\"no_such_total\": 1}}", &report).is_err()
-        );
-        assert!(
-            check_fleet_budgets("{\"fleet_budgets\": {\"requests\": -3}}", &report).is_err(),
-            "negative budget must be rejected"
-        );
-    }
+/// `fleet-report SUMMARY [--metrics TIMELINE]`: validates a `wimi-serve/1`
+/// summary (and, when given, a `wimi-metrics/1` timeline), then joins the
+/// session rows into the per-environment × per-material table on stdout.
+/// Exit 1 on an invalid artifact, 2 on I/O errors.
+pub fn fleet_report(summary_path: &str, metrics_path: Option<&str>) {
+    let read = |path: &str| match std::fs::read_to_string(path) {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("fleet-report: cannot read {path}: {e}");
+            std::process::exit(2);
+        }
+    };
+    let invalid = |path: &str, e: String| -> ! {
+        eprintln!("fleet-report: {path}: {e}");
+        std::process::exit(1);
+    };
+    let summary = read(summary_path);
+    let rows = validate_summary(&summary)
+        .and_then(|()| parse_summary_rows(&summary))
+        .unwrap_or_else(|e| invalid(summary_path, e));
+    let timeline = metrics_path.map(|path| {
+        wimi_metrics::parse_and_validate(&read(path)).unwrap_or_else(|e| invalid(path, e))
+    });
+    print!("{}", render_report(&rows, timeline.as_ref()));
 }

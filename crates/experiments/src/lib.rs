@@ -15,12 +15,12 @@
 
 pub mod ablation;
 pub mod accuracy;
+pub mod artifact;
 pub mod campaign;
 pub mod degradation;
 pub mod features;
 pub mod fleet;
 pub mod harness;
-pub mod metrics;
 pub mod microbench;
 pub mod obs;
 pub mod trace;

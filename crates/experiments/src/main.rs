@@ -1,20 +1,17 @@
 //! CLI entry point: `cargo run -p wimi-experiments --release -- all`.
 
-use wimi_experiments::{campaign, fleet, metrics, obs, run_named, trace, Effort, ALL_EXPERIMENTS};
+use wimi_experiments::{artifact, campaign, fleet, obs, run_named, trace, Effort, ALL_EXPERIMENTS};
 
 fn usage() -> ! {
     eprintln!(
         "usage: wimi-experiments [--quick] [--obs-json PATH] [--obs-wall] [--trace-out PATH] \
          all | environments | <name>...\n       \
-         wimi-experiments obs-validate PATH\n       \
-         wimi-experiments trace-diff A B\n       \
+         wimi-experiments artifact validate FILE | diff A B | budget BENCH FILE\n       \
          wimi-experiments campaign-run PATH [--campaign-out DIR] [--cell N] [--check BENCH]\n       \
          wimi-experiments campaign-diff DIR_A DIR_B\n       \
          wimi-experiments campaign-validate PATH\n       \
          wimi-experiments fleet [--sessions N] [--measurements M] [--campaign PATH] \
 [--fleet-out PATH] [--metrics-out PATH] [--slo POLICY] [--check BENCH]\n       \
-         wimi-experiments metrics-validate PATH\n       \
-         wimi-experiments metrics-diff A B\n       \
          wimi-experiments fleet-report SUMMARY [--metrics TIMELINE]"
     );
     eprintln!("experiments: {}", ALL_EXPERIMENTS.join(", "));
@@ -80,16 +77,11 @@ fn main() {
     }
 
     // Validation/diff subcommands: no experiments run.
-    if names[0] == "obs-validate" {
-        match names.get(1) {
-            Some(path) => obs::obs_validate(path),
-            None => usage(),
-        }
-        return;
-    }
-    if names[0] == "trace-diff" {
-        match (names.get(1), names.get(2)) {
-            (Some(a), Some(b)) => trace::trace_diff(a, b),
+    if names[0] == "artifact" {
+        match names[1..] {
+            ["validate", path] => artifact::validate_cli(path),
+            ["diff", a, b] => artifact::diff_cli(a, b),
+            ["budget", bench, path] => artifact::budget_cli(bench, path),
             _ => usage(),
         }
         return;
@@ -117,23 +109,9 @@ fn main() {
         campaign::campaign_run(path, flag("--campaign-out"), cell, flag("--check"));
         return;
     }
-    if names[0] == "metrics-validate" {
-        match names.get(1) {
-            Some(path) => metrics::metrics_validate(path),
-            None => usage(),
-        }
-        return;
-    }
-    if names[0] == "metrics-diff" {
-        match (names.get(1), names.get(2)) {
-            (Some(a), Some(b)) => metrics::metrics_diff(a, b),
-            _ => usage(),
-        }
-        return;
-    }
     if names[0] == "fleet-report" {
         match names.get(1) {
-            Some(path) => metrics::fleet_report(path, flag("--metrics")),
+            Some(path) => fleet::fleet_report(path, flag("--metrics")),
             None => usage(),
         }
         return;

@@ -6,7 +6,7 @@
 //! Traces carry no wall time and order events by `(task, seq)` logical
 //! clocks, so the artifact is byte-identical for any `WIMI_THREADS`
 //! setting — CI proves it by diffing a 1-thread run against a 4-thread
-//! run with `wimi-trace diff`.
+//! run with `wimi-experiments artifact diff`.
 
 use crate::accuracy::Effort;
 use crate::harness::{heading, paper_liquids, run_identification, RunOptions, RunResult};
@@ -121,29 +121,6 @@ pub fn trace_report(effort: Effort, out_path: Option<&str>) {
             std::process::exit(1);
         }
         println!("trace written to {path} ({} bytes)", text.len());
-    }
-}
-
-/// Diffs two trace artifacts, printing the first divergence with context.
-/// Exits 0 iff the files are byte-identical (CI entry point).
-pub fn trace_diff(a_path: &str, b_path: &str) {
-    let read = |path: &str| match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("trace-diff: cannot read {path}: {e}");
-            std::process::exit(2);
-        }
-    };
-    let a = read(a_path);
-    let b = read(b_path);
-    match analyze::diff(&a, &b) {
-        analyze::DiffOutcome::Identical => {
-            println!("identical: {a_path} == {b_path}");
-        }
-        analyze::DiffOutcome::Diverged { report, .. } => {
-            eprint!("{report}");
-            std::process::exit(1);
-        }
     }
 }
 

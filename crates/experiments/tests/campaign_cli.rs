@@ -1,6 +1,6 @@
 //! End-to-end tests of the campaign CLI surface (`campaign-validate`,
 //! `campaign-run`, `campaign-diff`) through the real binary, pinning the
-//! obs-validate error conventions: one-line stderr message, exit 1 for
+//! `artifact validate` error conventions: one-line stderr message, exit 1 for
 //! invalid campaigns, exit 2 for I/O and usage errors.
 
 use std::fs;

@@ -1,5 +1,5 @@
 //! End-to-end tests of the telemetry CLI surface (`fleet --metrics-out
-//! --slo`, `metrics-validate`, `metrics-diff`, `fleet-report`) through
+//! --slo`, `artifact validate|diff` on timelines, `fleet-report`) through
 //! the real binary: the SLO gate exits nonzero naming the first
 //! breaching tick, validators fail closed with exit 1, I/O errors exit
 //! 2, and the report renders the per-environment × per-material table.
@@ -18,6 +18,10 @@ fn temp(name: &str) -> PathBuf {
 
 fn stderr_of(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+fn stdout_of(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stdout).into_owned()
 }
 
 /// One tiny fleet run shared by the tests: summary + timeline artifacts.
@@ -46,28 +50,32 @@ fn run_tiny_fleet(tag: &str) -> (PathBuf, PathBuf) {
 fn fleet_writes_a_timeline_that_validates_and_self_diffs() {
     let (summary, metrics) = run_tiny_fleet("roundtrip");
     let out = bin()
-        .args(["metrics-validate", metrics.to_str().unwrap_or_default()])
+        .args(["artifact", "validate", metrics.to_str().unwrap_or_default()])
         .output()
         .expect("spawn validate");
     assert!(out.status.success(), "{out:?}");
-    assert!(stderr_of(&out).contains("OK"), "{out:?}");
+    assert!(
+        stdout_of(&out).contains("wimi-metrics/1 timeline"),
+        "{out:?}"
+    );
 
     let out = bin()
         .args([
-            "metrics-diff",
+            "artifact",
+            "diff",
             metrics.to_str().unwrap_or_default(),
             metrics.to_str().unwrap_or_default(),
         ])
         .output()
         .expect("spawn diff");
     assert!(out.status.success(), "{out:?}");
-    assert!(stderr_of(&out).contains("identical"), "{out:?}");
+    assert!(stdout_of(&out).contains("identical"), "{out:?}");
     fs::remove_file(&summary).ok();
     fs::remove_file(&metrics).ok();
 }
 
 #[test]
-fn metrics_validate_fails_closed_on_tampering() {
+fn artifact_validate_fails_closed_on_a_tampered_timeline() {
     let (summary, metrics) = run_tiny_fleet("tamper");
     let text = fs::read_to_string(&metrics).expect("read timeline");
     // Break per-tick conservation on the first tick line.
@@ -77,33 +85,72 @@ fn metrics_validate_fails_closed_on_tampering() {
     fs::write(&bad, tampered).expect("write tampered");
 
     let out = bin()
-        .args(["metrics-validate", bad.to_str().unwrap_or_default()])
+        .args(["artifact", "validate", bad.to_str().unwrap_or_default()])
         .output()
         .expect("spawn validate");
     assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert_eq!(stderr_of(&out).lines().count(), 1, "{out:?}");
 
-    // And the diff names the first differing tick.
+    // And the diff fails closed on the tampered side.
     let out = bin()
         .args([
-            "metrics-diff",
+            "artifact",
+            "diff",
             metrics.to_str().unwrap_or_default(),
             bad.to_str().unwrap_or_default(),
         ])
         .output()
         .expect("spawn diff");
     assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(stderr_of(&out).contains("second artifact"), "{out:?}");
     fs::remove_file(&summary).ok();
     fs::remove_file(&metrics).ok();
     fs::remove_file(&bad).ok();
 }
 
 #[test]
-fn metrics_validate_missing_file_exits_two() {
+fn fleet_report_rejects_a_summary_that_fails_validation() {
+    let (summary, metrics) = run_tiny_fleet("report-tamper");
+    let text = fs::read_to_string(&summary).expect("read summary");
+    // Session 0 claims 7 more successes than it was ever asked for: the
+    // rows still parse, but the accounting no longer conserves.
+    let row = text
+        .lines()
+        .find(|l| l.contains("{\"id\": 0,"))
+        .expect("session 0 row");
+    let ok = row
+        .split("\"ok\": ")
+        .nth(1)
+        .and_then(|rest| rest.split(',').next())
+        .and_then(|n| n.parse::<u64>().ok())
+        .expect("session 0 ok");
+    let tampered = text.replacen(
+        row,
+        &row.replacen(
+            &format!("\"ok\": {ok},"),
+            &format!("\"ok\": {},", ok + 7),
+            1,
+        ),
+        1,
+    );
+    assert_ne!(tampered, text, "fixture must actually change");
+    let bad = temp("report-tampered.json");
+    fs::write(&bad, tampered).expect("write tampered");
     let out = bin()
-        .args(["metrics-validate", "/nonexistent/nope.jsonl"])
+        .args(["fleet-report", bad.to_str().unwrap_or_default()])
         .output()
-        .expect("spawn");
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
+        .expect("spawn report");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(
+        out.stdout.is_empty(),
+        "no table for an invalid summary: {out:?}"
+    );
+    let err = stderr_of(&out);
+    assert_eq!(err.lines().count(), 1, "{err}");
+    assert!(err.contains("session 0"), "{err}");
+    fs::remove_file(&summary).ok();
+    fs::remove_file(&metrics).ok();
+    fs::remove_file(&bad).ok();
 }
 
 #[test]

@@ -26,6 +26,7 @@
 
 use std::fmt::Write as _;
 
+use wimi_obs::artifact::{expect_keys, expect_schema, obj, u64_field, DiffOutcome};
 use wimi_obs::json::{self, Json};
 use wimi_trace::TaskKey;
 
@@ -121,29 +122,6 @@ pub fn render(timeline: &Timeline, obs_json: Option<&str>) -> String {
 // Fail-closed validation.
 // ---------------------------------------------------------------------------
 
-fn as_obj<'a>(v: &'a Json, what: &str) -> Result<&'a Vec<(String, Json)>, String> {
-    match v {
-        Json::Obj(o) => Ok(o),
-        _ => Err(format!("{what} must be a JSON object")),
-    }
-}
-
-fn expect_keys(obj: &[(String, Json)], want: &[&str], what: &str) -> Result<(), String> {
-    let found: Vec<&str> = obj.iter().map(|(k, _)| k.as_str()).collect();
-    if found != want {
-        return Err(format!(
-            "{what} keys must be exactly {want:?} in order, found {found:?}"
-        ));
-    }
-    Ok(())
-}
-
-fn int_field(obj: &Json, key: &str, what: &str) -> Result<u64, String> {
-    obj.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("{what}: missing or non-integral field \"{key}\""))
-}
-
 const TICK_KEYS: [&str; 12] = [
     "tick",
     "requests",
@@ -163,19 +141,18 @@ const SHARD_KEYS: [&str; 5] = ["depth", "peak", "submitted", "completed", "shed"
 
 fn parse_tick(value: &Json, line_no: usize, shards: u64) -> Result<TickSample, String> {
     let what = format!("line {line_no}");
-    let obj = as_obj(value, &what)?;
-    expect_keys(obj, &TICK_KEYS, &what)?;
+    expect_keys(obj(value, &what)?, &TICK_KEYS, &what)?;
     let mut t = TickSample {
-        tick: int_field(value, "tick", &what)?,
-        requests: int_field(value, "requests", &what)?,
-        completed: int_field(value, "completed", &what)?,
-        shed: int_field(value, "shed", &what)?,
-        cache_hits: int_field(value, "cache_hits", &what)?,
-        cache_misses: int_field(value, "cache_misses", &what)?,
-        retry_attempts: int_field(value, "retry_attempts", &what)?,
-        retries_exhausted: int_field(value, "retries_exhausted", &what)?,
-        svm_batches: int_field(value, "svm_batches", &what)?,
-        packets_processed: int_field(value, "packets_processed", &what)?,
+        tick: u64_field(value, "tick", &what)?,
+        requests: u64_field(value, "requests", &what)?,
+        completed: u64_field(value, "completed", &what)?,
+        shed: u64_field(value, "shed", &what)?,
+        cache_hits: u64_field(value, "cache_hits", &what)?,
+        cache_misses: u64_field(value, "cache_misses", &what)?,
+        retry_attempts: u64_field(value, "retry_attempts", &what)?,
+        retries_exhausted: u64_field(value, "retries_exhausted", &what)?,
+        svm_batches: u64_field(value, "svm_batches", &what)?,
+        packets_processed: u64_field(value, "packets_processed", &what)?,
         ..TickSample::default()
     };
     if t.completed + t.shed != t.requests {
@@ -229,14 +206,13 @@ fn parse_tick(value: &Json, line_no: usize, shards: u64) -> Result<TickSample, S
     }
     for (i, row) in rows.iter().enumerate() {
         let swhat = format!("{what} shard {i}");
-        let obj = as_obj(row, &swhat)?;
-        expect_keys(obj, &SHARD_KEYS, &swhat)?;
+        expect_keys(obj(row, &swhat)?, &SHARD_KEYS, &swhat)?;
         let s = ShardSample {
-            depth: int_field(row, "depth", &swhat)?,
-            peak: int_field(row, "peak", &swhat)?,
-            submitted: int_field(row, "submitted", &swhat)?,
-            completed: int_field(row, "completed", &swhat)?,
-            shed: int_field(row, "shed", &swhat)?,
+            depth: u64_field(row, "depth", &swhat)?,
+            peak: u64_field(row, "peak", &swhat)?,
+            submitted: u64_field(row, "submitted", &swhat)?,
+            completed: u64_field(row, "completed", &swhat)?,
+            shed: u64_field(row, "shed", &swhat)?,
         };
         if s.depth > s.peak {
             return Err(format!("{swhat}: depth {} > peak {}", s.depth, s.peak));
@@ -268,12 +244,8 @@ fn check_obs(obs: &Json, timeline: &Timeline) -> Result<(), String> {
     if timeline.evicted > 0 {
         return Ok(());
     }
-    let counter = |name: &str| -> Result<u64, String> {
-        obs.get("counters")
-            .and_then(|c| c.get(name))
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("embedded obs snapshot: missing counter \"{name}\""))
-    };
+    let counters = obs.get("counters").unwrap_or(&Json::Null);
+    let counter = |name: &str| u64_field(counters, name, "embedded obs snapshot counters");
     let sum =
         |series: &str| -> u64 { timeline.ticks.iter().filter_map(|t| t.series(series)).sum() };
     for (counter_name, series) in [
@@ -318,24 +290,16 @@ pub fn parse_and_validate(text: &str) -> Result<Timeline, String> {
         return Err("truncated artifact: missing header line".into());
     };
     let header = json::parse(header_line).map_err(|e| format!("line 1: {e}"))?;
-    match header.get("schema").and_then(Json::as_str) {
-        Some(SCHEMA) => {}
-        Some(other) => {
-            return Err(format!(
-                "schema version mismatch: artifact declares \"{other}\" but this validator understands \"{SCHEMA}\""
-            ))
-        }
-        None => return Err("line 1: missing schema field".into()),
-    }
+    expect_schema(&header, SCHEMA, "artifact")?;
     expect_keys(
-        as_obj(&header, "header")?,
+        obj(&header, "header")?,
         &["schema", "ticks", "shards", "window", "evicted"],
         "header",
     )?;
-    let tick_count = int_field(&header, "ticks", "header")?;
-    let shards = int_field(&header, "shards", "header")?;
-    let window = int_field(&header, "window", "header")?;
-    let evicted = int_field(&header, "evicted", "header")?;
+    let tick_count = u64_field(&header, "ticks", "header")?;
+    let shards = u64_field(&header, "shards", "header")?;
+    let window = u64_field(&header, "window", "header")?;
+    let evicted = u64_field(&header, "evicted", "header")?;
     if tick_count > window {
         return Err(format!(
             "header: {tick_count} ticks exceed the window capacity {window}"
@@ -388,7 +352,7 @@ pub fn parse_and_validate(text: &str) -> Result<Timeline, String> {
     let Some(obs) = value.get("obs") else {
         return Err(format!("line {obs_no}: expected the {{\"obs\": ...}} line"));
     };
-    expect_keys(as_obj(&value, "obs line")?, &["obs"], "obs line")?;
+    expect_keys(obj(&value, "obs line")?, &["obs"], "obs line")?;
     if !matches!(obs, Json::Null) {
         check_obs(obs, &timeline)?;
     }
@@ -402,54 +366,17 @@ pub fn parse_and_validate(text: &str) -> Result<Timeline, String> {
     Ok(timeline)
 }
 
-/// Compares two validated artifacts and names the first difference —
-/// header shape, then the first tick (and shard) whose series diverge,
-/// then the embedded snapshots. `Ok` means no compared field differs.
+/// Validates both artifacts, then compares them with the shared
+/// first-divergence line diff. `Err` carries the first validation failure
+/// or the divergence report, whose `A`/`B` lines are the first diverging
+/// line of each side (a tick line names its `"tick"`).
 pub fn diff(a_text: &str, b_text: &str) -> Result<(), String> {
-    let a = parse_and_validate(a_text).map_err(|e| format!("first artifact: {e}"))?;
-    let b = parse_and_validate(b_text).map_err(|e| format!("second artifact: {e}"))?;
-    for (name, va, vb) in [
-        ("shards", a.shards as u64, b.shards as u64),
-        ("window", a.window as u64, b.window as u64),
-        ("evicted", a.evicted, b.evicted),
-        ("ticks", a.ticks.len() as u64, b.ticks.len() as u64),
-    ] {
-        if va != vb {
-            return Err(format!("header {name} differs: {va} vs {vb}"));
-        }
+    parse_and_validate(a_text).map_err(|e| format!("first artifact: {e}"))?;
+    parse_and_validate(b_text).map_err(|e| format!("second artifact: {e}"))?;
+    match wimi_obs::artifact::diff(a_text, b_text) {
+        DiffOutcome::Identical => Ok(()),
+        DiffOutcome::Diverged { report, .. } => Err(report),
     }
-    for (ta, tb) in a.ticks.iter().zip(&b.ticks) {
-        if ta.tick != tb.tick {
-            return Err(format!(
-                "tick numbering differs: {} vs {}",
-                ta.tick, tb.tick
-            ));
-        }
-        for name in SERIES {
-            let (va, vb) = (ta.series(name), tb.series(name));
-            if va != vb {
-                return Err(format!(
-                    "tick {}: {name} differs: {} vs {}",
-                    ta.tick,
-                    va.unwrap_or(0),
-                    vb.unwrap_or(0)
-                ));
-            }
-        }
-        if ta.exhausted != tb.exhausted {
-            return Err(format!("tick {}: exhausted sessions differ", ta.tick));
-        }
-        for (i, (sa, sb)) in ta.shards.iter().zip(&tb.shards).enumerate() {
-            if sa != sb {
-                return Err(format!("tick {} shard {i}: samples differ", ta.tick));
-            }
-        }
-    }
-    let last = |text: &str| text.lines().last().unwrap_or("").to_owned();
-    if last(a_text) != last(b_text) {
-        return Err("embedded obs snapshots differ".into());
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -552,7 +479,8 @@ mod tests {
         b.ticks[1].shards[0].submitted -= 1;
         b.ticks[1].shards[0].completed -= 1;
         let err = diff(&render(&a, None), &render(&b, None)).expect_err("must differ");
-        assert!(err.starts_with("tick 1:"), "{err}");
+        let diverging = err.lines().find(|l| l.contains(" A ")).unwrap_or_default();
+        assert!(diverging.contains(" A {\"tick\":1,"), "{err}");
         assert!(diff(&render(&a, None), &render(&a, None)).is_ok());
     }
 

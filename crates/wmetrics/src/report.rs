@@ -5,6 +5,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use wimi_obs::artifact::{expect_schema, str_field, u64_field};
 use wimi_obs::json::{self, Json};
 
 use crate::timeline::{Timeline, SERIES};
@@ -30,46 +31,28 @@ pub struct SessionRow {
     pub packets_spent: u64,
 }
 
-fn int_field(obj: &Json, key: &str) -> Result<u64, String> {
-    obj.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing or non-integral field \"{key}\""))
-}
-
-fn str_field(obj: &Json, key: &str) -> Result<String, String> {
-    obj.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_owned)
-        .ok_or_else(|| format!("missing or non-string field \"{key}\""))
-}
-
 /// Extracts the per-session rows from a `wimi-serve/1` fleet summary.
 /// Fail-closed: a wrong schema tag or a row missing its environment or
-/// material labels is an error.
+/// material labels is an error. It checks only what the rows need;
+/// `wimi_serve::validate_summary` checks the summary's accounting.
 pub fn parse_summary_rows(text: &str) -> Result<Vec<SessionRow>, String> {
     let root = json::parse(text)?;
-    match root.get("schema").and_then(Json::as_str) {
-        Some("wimi-serve/1") => {}
-        Some(other) => return Err(format!("schema is \"{other}\", want \"wimi-serve/1\"")),
-        None => return Err("missing schema field".to_owned()),
-    }
+    expect_schema(&root, "wimi-serve/1", "summary")?;
     let Some(Json::Arr(rows)) = root.get("sessions") else {
         return Err("missing sessions array".to_owned());
     };
     let mut out = Vec::with_capacity(rows.len());
     for (i, row) in rows.iter().enumerate() {
-        let context = |e: String| format!("session record {i}: {e}");
+        let what = format!("session record {i}");
         out.push(SessionRow {
-            id: int_field(row, "id").map_err(context)?,
-            environment: str_field(row, "environment")
-                .map_err(|e| format!("session record {i}: {e}"))?,
-            material: str_field(row, "material").map_err(|e| format!("session record {i}: {e}"))?,
-            ok: int_field(row, "ok").map_err(|e| format!("session record {i}: {e}"))?,
-            failed: int_field(row, "failed").map_err(|e| format!("session record {i}: {e}"))?,
-            shed: int_field(row, "shed").map_err(|e| format!("session record {i}: {e}"))?,
-            correct: int_field(row, "correct").map_err(|e| format!("session record {i}: {e}"))?,
-            packets_spent: int_field(row, "packets_spent")
-                .map_err(|e| format!("session record {i}: {e}"))?,
+            id: u64_field(row, "id", &what)?,
+            environment: str_field(row, "environment", &what)?.to_owned(),
+            material: str_field(row, "material", &what)?.to_owned(),
+            ok: u64_field(row, "ok", &what)?,
+            failed: u64_field(row, "failed", &what)?,
+            shed: u64_field(row, "shed", &what)?,
+            correct: u64_field(row, "correct", &what)?,
+            packets_spent: u64_field(row, "packets_spent", &what)?,
         });
     }
     Ok(out)

@@ -1,5 +1,5 @@
-//! A minimal, std-only, panic-free JSON parser shared by the snapshot
-//! validator (this crate) and the trace-artifact tooling (`wimi-trace`).
+//! A minimal, std-only, panic-free JSON parser shared by every artifact
+//! validator (see [`crate::artifact`] for the typed field access on top).
 //!
 //! The parser keeps insertion order for object keys (schema checks care
 //! about canonical field order) and remembers whether each number's source

@@ -51,6 +51,7 @@
 
 #![warn(missing_docs)]
 
+pub mod artifact;
 pub mod clock;
 pub mod json;
 pub mod recorder;

@@ -8,7 +8,8 @@
 
 use std::fmt::Write as _;
 
-use crate::json::{field, parse, Json};
+use crate::artifact::{expect_keys, expect_schema, obj, u64_field};
+use crate::json::{parse, Json};
 use crate::recorder::{
     CounterId, GaugeId, IssueId, StageId, ATTEMPT_LABELS, DISPERSION_LABELS, GAMMA_LABELS,
 };
@@ -162,7 +163,7 @@ fn write_int_object(out: &mut String, name: &str, entries: &[(&str, u64)], inden
 
 // ---------------------------------------------------------------------------
 // Validation: schema checks against the canonical name lists, on top of
-// the shared `crate::json` parser.
+// the shared `crate::artifact` field access.
 // ---------------------------------------------------------------------------
 
 /// Validates an exported snapshot: well-formed JSON, the `wimi-obs/1`
@@ -171,7 +172,7 @@ fn write_int_object(out: &mut String, name: &str, entries: &[(&str, u64)], inden
 /// construction and rejected by the parser).
 ///
 /// Truncated input and a mismatched schema version each produce a
-/// distinct one-line message so `obs-validate` failures are actionable.
+/// distinct one-line message so validation failures are actionable.
 pub fn validate_json(text: &str) -> Result<(), String> {
     let value = parse(text)?;
     validate_value(&value)
@@ -181,21 +182,12 @@ pub fn validate_json(text: &str) -> Result<(), String> {
 /// schema. Used by [`validate_json`] and by `wimi-trace` to check the
 /// snapshot embedded in a trace artifact without re-serialising it.
 pub fn validate_value(value: &Json) -> Result<(), String> {
-    let root = as_obj(value, "root")?;
     // Check the version stamp before anything else: a snapshot from a
     // newer writer should say "version mismatch", not complain about
     // whatever key happens to differ first.
-    match field(root, "schema") {
-        Some(Json::Str(s)) if s == SCHEMA => {}
-        Some(Json::Str(s)) => {
-            return Err(format!(
-                "schema version mismatch: snapshot declares \"{s}\" but this validator understands \"{SCHEMA}\""
-            ))
-        }
-        _ => return Err(format!("\"schema\" must be the string \"{SCHEMA}\"")),
-    }
+    expect_schema(value, SCHEMA, "snapshot")?;
     expect_keys(
-        root,
+        obj(value, "root")?,
         &[
             "schema",
             "stages",
@@ -207,7 +199,7 @@ pub fn validate_value(value: &Json) -> Result<(), String> {
         "root",
     )?;
 
-    let Some(Json::Arr(stages)) = field(root, "stages") else {
+    let Some(Json::Arr(stages)) = value.get("stages") else {
         return Err("\"stages\" must be an array".into());
     };
     if stages.len() != StageId::ALL.len() {
@@ -218,119 +210,78 @@ pub fn validate_value(value: &Json) -> Result<(), String> {
         ));
     }
     for (stage_id, entry) in StageId::ALL.iter().zip(stages) {
-        let obj = as_obj(entry, "stage entry")?;
-        expect_keys(obj, &["stage", "calls", "total_ns"], "stage entry")?;
-        match field(obj, "stage") {
-            Some(Json::Str(s)) if s == stage_id.name() => {}
-            _ => {
-                return Err(format!(
-                    "stage entries must appear in pipeline order; expected \"{}\"",
-                    stage_id.name()
-                ))
-            }
+        expect_keys(
+            obj(entry, "stage entry")?,
+            &["stage", "calls", "total_ns"],
+            "stage entry",
+        )?;
+        if entry.get("stage").and_then(Json::as_str) != Some(stage_id.name()) {
+            return Err(format!(
+                "stage entries must appear in pipeline order; expected \"{}\"",
+                stage_id.name()
+            ));
         }
-        expect_u64(field(obj, "calls"), "stage calls")?;
-        expect_u64(field(obj, "total_ns"), "stage total_ns")?;
+        u64_field(entry, "calls", "stage entry")?;
+        u64_field(entry, "total_ns", "stage entry")?;
     }
 
     let counter_names: Vec<&str> = CounterId::ALL.iter().map(|c| c.name()).collect();
-    expect_int_object(root, "counters", &counter_names)?;
+    expect_int_object(value, "counters", &counter_names)?;
     let gauge_names: Vec<&str> = GaugeId::ALL.iter().map(|g| g.name()).collect();
-    expect_int_object(root, "gauges", &gauge_names)?;
+    expect_int_object(value, "gauges", &gauge_names)?;
     let issue_names: Vec<&str> = IssueId::ALL.iter().map(|i| i.name()).collect();
-    expect_int_object(root, "issues", &issue_names)?;
+    expect_int_object(value, "issues", &issue_names)?;
 
-    let Some(Json::Obj(_)) = field(root, "histograms") else {
-        return Err("\"histograms\" must be an object".into());
-    };
-    let Some(hists) = field(root, "histograms").and_then(|v| match v {
-        Json::Obj(o) => Some(o),
-        _ => None,
-    }) else {
-        return Err("\"histograms\" must be an object".into());
-    };
-    expect_keys(hists, &["gamma", "dispersion", "attempts"], "histograms")?;
+    let hists = value.get("histograms").unwrap_or(&Json::Null);
+    expect_keys(
+        obj(hists, "\"histograms\"")?,
+        &["gamma", "dispersion", "attempts"],
+        "histograms",
+    )?;
     for (name, labels) in [
         ("gamma", &GAMMA_LABELS[..]),
         ("dispersion", &DISPERSION_LABELS[..]),
         ("attempts", &ATTEMPT_LABELS[..]),
     ] {
-        let obj = as_obj(
-            field(hists, name).unwrap_or(&Json::Null),
-            &format!("histogram \"{name}\""),
-        )?;
-        expect_keys(obj, &["labels", "counts"], &format!("histogram \"{name}\""))?;
-        let Some(Json::Arr(found_labels)) = field(obj, "labels") else {
-            return Err(format!("histogram \"{name}\" labels must be an array"));
+        let what = format!("histogram \"{name}\"");
+        let hist = hists.get(name).unwrap_or(&Json::Null);
+        expect_keys(obj(hist, &what)?, &["labels", "counts"], &what)?;
+        let Some(Json::Arr(found_labels)) = hist.get("labels") else {
+            return Err(format!("{what} labels must be an array"));
         };
         if found_labels.len() != labels.len()
             || found_labels
                 .iter()
                 .zip(labels)
-                .any(|(v, want)| !matches!(v, Json::Str(s) if s == want))
+                .any(|(v, want)| v.as_str() != Some(want))
         {
             return Err(format!(
-                "histogram \"{name}\" labels differ from the canonical bucket set"
+                "{what} labels differ from the canonical bucket set"
             ));
         }
-        let Some(Json::Arr(counts)) = field(obj, "counts") else {
-            return Err(format!("histogram \"{name}\" counts must be an array"));
+        let Some(Json::Arr(counts)) = hist.get("counts") else {
+            return Err(format!("{what} counts must be an array"));
         };
         if counts.len() != labels.len() {
             return Err(format!(
-                "histogram \"{name}\" counts length {} != {} buckets",
+                "{what} counts length {} != {} buckets",
                 counts.len(),
                 labels.len()
             ));
         }
-        for c in counts {
-            expect_u64(Some(c), &format!("histogram \"{name}\" count"))?;
+        if counts.iter().any(|c| c.as_u64().is_none()) {
+            return Err(format!("{what} counts must be non-negative integers"));
         }
     }
     Ok(())
 }
 
-fn as_obj<'a>(v: &'a Json, what: &str) -> Result<&'a Vec<(String, Json)>, String> {
-    match v {
-        Json::Obj(o) => Ok(o),
-        _ => Err(format!("{what} must be a JSON object")),
-    }
-}
-
-fn expect_keys(obj: &[(String, Json)], want: &[&str], what: &str) -> Result<(), String> {
-    let found: Vec<&str> = obj.iter().map(|(k, _)| k.as_str()).collect();
-    if found != want {
-        return Err(format!(
-            "{what} keys must be exactly {want:?} in order, found {found:?}"
-        ));
-    }
-    Ok(())
-}
-
-fn expect_u64(v: Option<&Json>, what: &str) -> Result<u64, String> {
-    match v {
-        Some(&Json::Num { value, integral }) if integral && value >= 0.0 => {
-            if value > u64::MAX as f64 {
-                return Err(format!("{what} exceeds u64 range"));
-            }
-            Ok(value as u64)
-        }
-        _ => Err(format!("{what} must be a non-negative integer")),
-    }
-}
-
-fn expect_int_object(
-    root: &[(String, Json)],
-    name: &str,
-    want_keys: &[&str],
-) -> Result<(), String> {
-    let obj = as_obj(
-        field(root, name).unwrap_or(&Json::Null),
-        &format!("\"{name}\""),
-    )?;
-    expect_keys(obj, want_keys, &format!("\"{name}\""))?;
-    for (key, v) in obj {
-        expect_u64(Some(v), &format!("\"{name}\".\"{key}\""))?;
+fn expect_int_object(root: &Json, name: &str, want_keys: &[&str]) -> Result<(), String> {
+    let what = format!("\"{name}\"");
+    let value = root.get(name).unwrap_or(&Json::Null);
+    expect_keys(obj(value, &what)?, want_keys, &what)?;
+    for key in want_keys {
+        u64_field(value, key, &what)?;
     }
     Ok(())
 }

@@ -7,6 +7,7 @@
 //! the text back and checks the schema tag plus the accounting
 //! invariants (`responses = ok + failed`, `requests = responses + shed`).
 
+use wimi_obs::artifact::{expect_schema, str_field, u64_field};
 use wimi_obs::json::{self, Json};
 
 use crate::fleet::FleetReport;
@@ -89,12 +90,6 @@ pub fn summary_json(report: &FleetReport) -> String {
     out
 }
 
-fn int_field(obj: &Json, key: &str) -> Result<u64, String> {
-    obj.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing or non-integral field \"{key}\""))
-}
-
 /// Validates a `wimi-serve/1` summary: well-formed JSON, the right
 /// schema tag, a session record per reported session, and conserved
 /// accounting — fleet-wide (`responses = ok + failed`,
@@ -105,25 +100,17 @@ fn int_field(obj: &Json, key: &str) -> Result<u64, String> {
 /// anything unexpected is an error, not a skip.
 pub fn validate_summary(text: &str) -> Result<(), String> {
     let root = json::parse(text)?;
-    match root.get("schema").and_then(Json::as_str) {
-        Some(SUMMARY_SCHEMA) => {}
-        Some(other) => return Err(format!("schema is \"{other}\", want \"{SUMMARY_SCHEMA}\"")),
-        None => return Err("missing schema field".to_owned()),
-    }
-    let fleet = root
-        .get("fleet")
-        .ok_or_else(|| "missing fleet object".to_owned())?;
-    let sessions = int_field(fleet, "sessions")?;
-    let measurements = int_field(fleet, "measurements")?;
-    let totals = root
-        .get("totals")
-        .ok_or_else(|| "missing totals object".to_owned())?;
-    let requests = int_field(totals, "requests")?;
-    let responses = int_field(totals, "responses")?;
-    let ok = int_field(totals, "ok")?;
-    let failed = int_field(totals, "failed")?;
-    let shed = int_field(totals, "shed")?;
-    let correct = int_field(totals, "correct")?;
+    expect_schema(&root, SUMMARY_SCHEMA, "summary")?;
+    let fleet = root.get("fleet").unwrap_or(&Json::Null);
+    let sessions = u64_field(fleet, "sessions", "fleet")?;
+    let measurements = u64_field(fleet, "measurements", "fleet")?;
+    let totals = root.get("totals").unwrap_or(&Json::Null);
+    let requests = u64_field(totals, "requests", "totals")?;
+    let responses = u64_field(totals, "responses", "totals")?;
+    let ok = u64_field(totals, "ok", "totals")?;
+    let failed = u64_field(totals, "failed", "totals")?;
+    let shed = u64_field(totals, "shed", "totals")?;
+    let correct = u64_field(totals, "correct", "totals")?;
     if responses != ok + failed {
         return Err(format!(
             "responses {responses} != ok {ok} + failed {failed}"
@@ -147,11 +134,12 @@ pub fn validate_summary(text: &str) -> Result<(), String> {
                 ));
             }
             for row in rows {
-                let id = int_field(row, "id")?;
-                let row_ok = int_field(row, "ok")?;
-                let row_failed = int_field(row, "failed")?;
-                let row_shed = int_field(row, "shed")?;
-                let row_correct = int_field(row, "correct")?;
+                let id = u64_field(row, "id", "session record")?;
+                let what = format!("session {id}");
+                let row_ok = u64_field(row, "ok", &what)?;
+                let row_failed = u64_field(row, "failed", &what)?;
+                let row_shed = u64_field(row, "shed", &what)?;
+                let row_correct = u64_field(row, "correct", &what)?;
                 if row_correct > row_ok {
                     return Err(format!("session correct {row_correct} > ok {row_ok}"));
                 }
@@ -162,9 +150,7 @@ pub fn validate_summary(text: &str) -> Result<(), String> {
                     ));
                 }
                 for key in ["environment", "material"] {
-                    if row.get(key).and_then(Json::as_str).is_none() {
-                        return Err(format!("session {id}: missing or non-string \"{key}\""));
-                    }
+                    str_field(row, key, &what)?;
                 }
             }
         }

@@ -1,11 +1,12 @@
-//! Artifact analysis: human summaries, first-divergence diffing, and
-//! deterministic work-counter budget gates.
+//! Artifact analysis: the deterministic human summary of a trace.
+//! Diffing and budget gates are schema-independent and live in
+//! [`wimi_obs::artifact`].
 
 use std::fmt::Write as _;
 
 use wimi_obs::json::Json;
 
-use crate::artifact::{parse_and_validate, Artifact};
+use crate::artifact::parse_and_validate;
 
 /// Renders a deterministic human-readable summary of an artifact:
 /// header totals, event-type mix, per-stage span balance, issue tallies,
@@ -118,155 +119,6 @@ fn describe(line: &crate::artifact::EventLine) -> String {
     }
 }
 
-/// Outcome of diffing two artifacts line-by-line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DiffOutcome {
-    /// The artifacts are byte-identical.
-    Identical,
-    /// The artifacts first differ at 1-based `line_no`.
-    Diverged {
-        /// First differing line (1-based).
-        line_no: usize,
-        /// A human-readable report: the diverging line from each side
-        /// plus surrounding context.
-        report: String,
-    },
-}
-
-/// Compares two artifacts and reports the first diverging line with
-/// surrounding context. A missing line on one side (different lengths)
-/// also counts as divergence.
-pub fn diff(a: &str, b: &str) -> DiffOutcome {
-    if a == b {
-        return DiffOutcome::Identical;
-    }
-    let a_lines: Vec<&str> = a.lines().collect();
-    let b_lines: Vec<&str> = b.lines().collect();
-    let n = a_lines.len().max(b_lines.len());
-    for i in 0..n {
-        let la = a_lines.get(i).copied();
-        let lb = b_lines.get(i).copied();
-        if la == lb {
-            continue;
-        }
-        let mut report = String::new();
-        let _ = writeln!(report, "first divergence at line {}:", i + 1);
-        let ctx_start = i.saturating_sub(2);
-        for j in ctx_start..i {
-            if let Some(l) = a_lines.get(j) {
-                let _ = writeln!(report, "  {:>5}   {l}", j + 1);
-            }
-        }
-        let _ = writeln!(
-            report,
-            "  {:>5} A {}",
-            i + 1,
-            la.unwrap_or("<end of artifact>")
-        );
-        let _ = writeln!(
-            report,
-            "  {:>5} B {}",
-            i + 1,
-            lb.unwrap_or("<end of artifact>")
-        );
-        for j in (i + 1)..(i + 3) {
-            match (a_lines.get(j), b_lines.get(j)) {
-                (Some(l), _) | (None, Some(l)) => {
-                    let _ = writeln!(report, "  {:>5}   {l}", j + 1);
-                }
-                (None, None) => break,
-            }
-        }
-        return DiffOutcome::Diverged {
-            line_no: i + 1,
-            report,
-        };
-    }
-    // Unreachable in practice (a != b implies some line differs), but
-    // stay panic-free and conservative.
-    DiffOutcome::Diverged {
-        line_no: 0,
-        report: "artifacts differ only in trailing whitespace".into(),
-    }
-}
-
-/// One budget comparison row.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BudgetRow {
-    /// Work-counter name.
-    pub name: String,
-    /// Actual value measured from the artifact.
-    pub actual: u64,
-    /// Committed ceiling from the bench summary.
-    pub budget: u64,
-    /// Whether `actual` stayed within `budget`.
-    pub ok: bool,
-}
-
-/// Checks an artifact's deterministic work counters against the
-/// `work_budgets` object of a committed bench summary (`BENCH_PR5.json`).
-///
-/// `trace_events` is compared against the sink's total emissions; every
-/// other budget name is looked up in the embedded obs snapshot's
-/// counters. Exceeding any ceiling fails; unknown budget names fail too
-/// (a renamed counter must not silently stop gating).
-pub fn check_budgets(bench_json: &str, artifact_text: &str) -> Result<Vec<BudgetRow>, String> {
-    let artifact = parse_and_validate(artifact_text)?;
-    let bench = wimi_obs::json::parse(bench_json).map_err(|e| format!("bench summary: {e}"))?;
-    let Some(Json::Obj(budgets)) = bench.get("work_budgets") else {
-        return Err("bench summary has no \"work_budgets\" object".into());
-    };
-    if budgets.is_empty() {
-        return Err("\"work_budgets\" is empty — nothing to gate on".into());
-    }
-    let mut rows = Vec::new();
-    for (name, value) in budgets {
-        let budget = value
-            .as_u64()
-            .ok_or_else(|| format!("budget \"{name}\" must be a non-negative integer"))?;
-        let actual = lookup_metric(&artifact, name)?;
-        rows.push(BudgetRow {
-            name: name.clone(),
-            actual,
-            budget,
-            ok: actual <= budget,
-        });
-    }
-    Ok(rows)
-}
-
-fn lookup_metric(artifact: &Artifact, name: &str) -> Result<u64, String> {
-    if name == "trace_events" {
-        return Ok(artifact.header.events_emitted);
-    }
-    let counters = artifact
-        .obs
-        .get("counters")
-        .ok_or_else(|| format!("budget \"{name}\": artifact embeds no obs snapshot counters"))?;
-    counters.get(name).and_then(Json::as_u64).ok_or_else(|| {
-        format!("budget \"{name}\" does not match any obs counter (renamed or removed?)")
-    })
-}
-
-/// Renders budget rows as a fixed-width table, one row per line.
-pub fn budget_table(rows: &[BudgetRow]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<28} {:>12} {:>12}  status",
-        "work counter", "actual", "budget"
-    );
-    for row in rows {
-        let status = if row.ok { "ok" } else { "OVER BUDGET" };
-        let _ = writeln!(
-            out,
-            "{:<28} {:>12} {:>12}  {status}",
-            row.name, row.actual, row.budget
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,60 +164,5 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("retries exhausted after 2"), "{text}");
-    }
-
-    #[test]
-    fn diff_identical_artifacts() {
-        let a = failing_artifact();
-        assert_eq!(diff(&a, &a.clone()), DiffOutcome::Identical);
-    }
-
-    #[test]
-    fn diff_reports_first_divergence_with_context() {
-        let a = failing_artifact();
-        let b = a.replacen("\"attempt\":2", "\"attempt\":3", 1);
-        match diff(&a, &b) {
-            DiffOutcome::Diverged { line_no, report } => {
-                assert!(line_no > 1);
-                assert!(report.contains("first divergence"), "{report}");
-                assert!(report.contains(" A "), "{report}");
-                assert!(report.contains(" B "), "{report}");
-            }
-            DiffOutcome::Identical => panic!("must diverge"),
-        }
-    }
-
-    #[test]
-    fn diff_handles_length_mismatch() {
-        let a = failing_artifact();
-        let b: String = a.lines().take(3).map(|l| format!("{l}\n")).collect();
-        match diff(&a, &b) {
-            DiffOutcome::Diverged { report, .. } => {
-                assert!(report.contains("<end of artifact>"), "{report}");
-            }
-            DiffOutcome::Identical => panic!("must diverge"),
-        }
-    }
-
-    #[test]
-    fn budgets_pass_within_and_fail_over() {
-        let artifact = failing_artifact();
-        let ok = r#"{"work_budgets": {"trace_events": 10, "measurements_failed": 1}}"#;
-        let rows = check_budgets(ok, &artifact).unwrap();
-        assert!(rows.iter().all(|r| r.ok), "{rows:?}");
-        let over = r#"{"work_budgets": {"trace_events": 3}}"#;
-        let rows = check_budgets(over, &artifact).unwrap();
-        assert!(rows.iter().any(|r| !r.ok), "{rows:?}");
-        let table = budget_table(&rows);
-        assert!(table.contains("OVER BUDGET"), "{table}");
-    }
-
-    #[test]
-    fn budgets_reject_unknown_names_and_missing_section() {
-        let artifact = failing_artifact();
-        let unknown = r#"{"work_budgets": {"warp_cores": 1}}"#;
-        assert!(check_budgets(unknown, &artifact).is_err());
-        assert!(check_budgets("{}", &artifact).is_err());
-        assert!(check_budgets(r#"{"work_budgets": {}}"#, &artifact).is_err());
     }
 }

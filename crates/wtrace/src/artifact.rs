@@ -16,6 +16,7 @@
 
 use std::fmt::Write as _;
 
+use wimi_obs::artifact::{expect_schema, str_field, u64_field};
 use wimi_obs::json::{self, Json};
 use wimi_obs::{CounterId, IssueId, StageId};
 
@@ -231,18 +232,6 @@ pub fn render_cell(log: &TraceLog, obs_json: Option<&str>, tag: Option<&Campaign
     out
 }
 
-fn get_u64(obj: &Json, key: &str, what: &str) -> Result<u64, String> {
-    obj.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("{what}: \"{key}\" must be a non-negative integer"))
-}
-
-fn get_str<'a>(obj: &'a Json, key: &str, what: &str) -> Result<&'a str, String> {
-    obj.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("{what}: \"{key}\" must be a string"))
-}
-
 fn is_number(v: Option<&Json>) -> bool {
     matches!(v, Some(Json::Num { .. }))
 }
@@ -264,44 +253,44 @@ fn check_event_fields(line: &EventLine) -> Result<(), String> {
     let v = &line.value;
     match line.ev.as_str() {
         "enter" | "exit" | "failed" => {
-            let stage = get_str(v, "stage", &what)?;
+            let stage = str_field(v, "stage", &what)?;
             if !valid_stage(stage) {
                 return Err(format!("{what}: unknown stage \"{stage}\""));
             }
             if line.ev == "failed" {
-                let issue = get_str(v, "issue", &what)?;
+                let issue = str_field(v, "issue", &what)?;
                 if !valid_issue(issue) {
                     return Err(format!("{what}: unknown issue \"{issue}\""));
                 }
             }
         }
         "count" => {
-            let counter = get_str(v, "counter", &what)?;
+            let counter = str_field(v, "counter", &what)?;
             if !valid_counter(counter) {
                 return Err(format!("{what}: unknown counter \"{counter}\""));
             }
-            get_u64(v, "delta", &what)?;
+            u64_field(v, "delta", &what)?;
         }
         "issue" => {
-            let issue = get_str(v, "issue", &what)?;
+            let issue = str_field(v, "issue", &what)?;
             if !valid_issue(issue) {
                 return Err(format!("{what}: unknown issue \"{issue}\""));
             }
-            get_u64(v, "count", &what)?;
+            u64_field(v, "count", &what)?;
         }
         "salvage" => {
-            get_str(v, "action", &what)?;
-            get_u64(v, "count", &what)?;
+            str_field(v, "action", &what)?;
+            u64_field(v, "count", &what)?;
         }
         "attempt" => {
-            get_u64(v, "attempt", &what)?;
-            get_u64(v, "max", &what)?;
+            u64_field(v, "attempt", &what)?;
+            u64_field(v, "max", &what)?;
         }
         "retries_exhausted" => {
-            get_u64(v, "attempts", &what)?;
+            u64_field(v, "attempts", &what)?;
         }
         "feature" => {
-            get_u64(v, "pairs", &what)?;
+            u64_field(v, "pairs", &what)?;
             for key in ["gamma_min", "gamma_max"] {
                 if !is_number(v.get(key)) {
                     return Err(format!("{what}: \"{key}\" must be a number"));
@@ -313,9 +302,9 @@ fn check_event_fields(line: &EventLine) -> Result<(), String> {
             }
         }
         "svm_machine" => {
-            get_u64(v, "class_a", &what)?;
-            get_u64(v, "class_b", &what)?;
-            get_u64(v, "rounds", &what)?;
+            u64_field(v, "class_a", &what)?;
+            u64_field(v, "class_b", &what)?;
+            u64_field(v, "rounds", &what)?;
         }
         other => {
             return Err(format!(
@@ -339,28 +328,20 @@ pub fn parse_and_validate(text: &str) -> Result<Artifact, String> {
         return Err("truncated artifact: empty input (no header line)".into());
     };
     let header_val = json::parse(header_line).map_err(|e| format!("header line: {e}"))?;
-    match header_val.get("schema").and_then(Json::as_str) {
-        Some(s) if s == SCHEMA => {}
-        Some(s) => {
-            return Err(format!(
-                "schema version mismatch: artifact declares \"{s}\" but this tool understands \"{SCHEMA}\""
-            ))
-        }
-        None => return Err(format!("header line: \"schema\" must be the string \"{SCHEMA}\"")),
-    }
+    expect_schema(&header_val, SCHEMA, "artifact")?;
     let header = Header {
-        tasks: get_u64(&header_val, "tasks", "header")?,
-        events: get_u64(&header_val, "events", "header")?,
-        events_emitted: get_u64(&header_val, "events_emitted", "header")?,
-        failures: get_u64(&header_val, "failures", "header")?,
-        tasks_truncated: get_u64(&header_val, "tasks_truncated", "header")?,
+        tasks: u64_field(&header_val, "tasks", "header")?,
+        events: u64_field(&header_val, "events", "header")?,
+        events_emitted: u64_field(&header_val, "events_emitted", "header")?,
+        failures: u64_field(&header_val, "failures", "header")?,
+        tasks_truncated: u64_field(&header_val, "tasks_truncated", "header")?,
     };
     let campaign = match header_val.get("campaign") {
         None => None,
         Some(_) => Some(CampaignTag {
-            campaign: get_str(&header_val, "campaign", "header")?.to_string(),
-            cell: get_u64(&header_val, "cell", "header")?,
-            cell_seed: get_u64(&header_val, "cell_seed", "header")?,
+            campaign: str_field(&header_val, "campaign", "header")?.to_string(),
+            cell: u64_field(&header_val, "cell", "header")?,
+            cell_seed: u64_field(&header_val, "cell_seed", "header")?,
         }),
     };
 
@@ -379,9 +360,9 @@ pub fn parse_and_validate(text: &str) -> Result<Artifact, String> {
             continue;
         }
         let what = format!("line {line_no}");
-        let task = get_str(&value, "task", &what)?.to_string();
-        let seq = get_u64(&value, "seq", &what)?;
-        let ev = get_str(&value, "ev", &what)?.to_string();
+        let task = str_field(&value, "task", &what)?.to_string();
+        let seq = u64_field(&value, "seq", &what)?;
+        let ev = str_field(&value, "ev", &what)?.to_string();
         events.push(EventLine {
             line_no,
             task,
