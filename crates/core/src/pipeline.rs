@@ -407,7 +407,9 @@ impl WiMi {
     ) {
         // The per-pair profile computation (phase differencing, subcarrier
         // ranking, amplitude denoising) is the hot path of every
-        // measurement and is independent across pairs — fan it out.
+        // measurement and is independent across pairs — fan it out. Inside
+        // an outer fan-out (harness, campaign, serve) this map runs inline
+        // on the measurement's worker; a standalone measure spawns.
         let pairs = crate::antenna::enumerate_pairs(baseline.n_antennas());
         // Clean every antenna's amplitude series once, before the fan-out:
         // each antenna appears in several pairs, and the cleaning chain is

@@ -99,7 +99,9 @@ pub fn ablation_classifier(effort: Effort) {
     let mut train = Dataset::new(class_names.clone());
     for trial in 0..opts.n_train {
         for (label, m) in materials.iter().enumerate() {
-            let seed = opts.seed + 1_000 + trial as u64 * 131 + label as u64;
+            let seed = opts
+                .seed
+                .wrapping_add(1_000 + trial as u64 * 131 + label as u64);
             if let (Some(f), _) = crate::harness::measure(&extractor, &m.spec, &opts, seed) {
                 train.push(f.as_vector(), label);
             }
@@ -116,7 +118,9 @@ pub fn ablation_classifier(effort: Effort) {
     let mut total = 0usize;
     for trial in 0..opts.n_test {
         for (label, m) in materials.iter().enumerate() {
-            let seed = opts.seed + 900_000 + trial as u64 * 137 + label as u64;
+            let seed = opts
+                .seed
+                .wrapping_add(900_000 + trial as u64 * 137 + label as u64);
             if let (Some(f), _) = crate::harness::measure(&extractor, &m.spec, &opts, seed) {
                 total += 1;
                 if knn.predict(&scaler.transform_one(&f.as_vector())) == label {

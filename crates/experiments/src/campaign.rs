@@ -175,6 +175,8 @@ pub fn run_cell(c: &Campaign, cell: &CellPlan) -> CellOutcome {
     let mut train = Dataset::new(names.clone());
     for trial in 0..c.train {
         for (label, spec) in specs.iter().enumerate() {
+            // Plain `+` cannot overflow here: `derive_cell_seed` keeps cell
+            // seeds below 2^53, far from `u64::MAX`.
             let seed = cell.seed + 1_000 + trial as u64 * 131 + label as u64;
             let (feat, stats) = measure_target(&extractor, Some(spec), &train_opts, seed);
             rejected += stats.rejected;
@@ -218,6 +220,7 @@ pub fn run_cell(c: &Campaign, cell: &CellPlan) -> CellOutcome {
             .expect("segment 0 starts at trial 0");
         let opts = cell_options(c, cell, state, &recorder, &sink);
         for label in 0..k {
+            // Cannot overflow: cell seeds stay below 2^53 (see training).
             let seed = cell.seed + 900_000 + trial as u64 * 137 + label as u64;
             let spec = match state.target {
                 TargetMode::Present => Some(&specs[label]),

@@ -314,14 +314,17 @@ pub fn run_identification(materials: &[Material], opts: &RunOptions) -> RunResul
         let mut v = Vec::with_capacity(trials * materials.len());
         for trial in 0..trials {
             for label in 0..materials.len() {
-                v.push((label, base + trial as u64 * stride + label as u64));
+                v.push((
+                    label,
+                    base.wrapping_add(trial as u64 * stride + label as u64),
+                ));
             }
         }
         v
     };
 
     // Training set.
-    let train_jobs = jobs(opts.seed + 1_000, opts.n_train, 131);
+    let train_jobs = jobs(opts.seed.wrapping_add(1_000), opts.n_train, 131);
     let measured = wimi_core::par::map(&train_jobs, |_, &(label, seed)| {
         (
             label,
@@ -344,7 +347,7 @@ pub fn run_identification(materials: &[Material], opts: &RunOptions) -> RunResul
     wimi.train_on_dataset(&train);
 
     // Test set.
-    let test_jobs = jobs(opts.seed + 900_000, opts.n_test, 137);
+    let test_jobs = jobs(opts.seed.wrapping_add(900_000), opts.n_test, 137);
     let measured = wimi_core::par::map(&test_jobs, |_, &(label, seed)| {
         (
             label,
@@ -495,6 +498,27 @@ mod tests {
         assert_eq!(serial.confusion, parallel.confusion);
         assert_eq!(serial.dropped_trials, parallel.dropped_trials);
         assert_eq!(serial.rejected_measurements, parallel.rejected_measurements);
+    }
+
+    #[test]
+    fn run_identification_wraps_high_seeds() {
+        // Regression: `seed + 1_000` and the per-job seed arithmetic used
+        // to overflow (a panic in debug builds) near `u64::MAX`.
+        let materials = vec![
+            Material::catalog(Liquid::PureWater),
+            Material::catalog(Liquid::Honey),
+        ];
+        let opts = RunOptions {
+            seed: u64::MAX - 5,
+            n_train: 2,
+            n_test: 2,
+            ..RunOptions::default()
+        };
+        let result = run_identification(&materials, &opts);
+        let scored: usize = (0..2)
+            .map(|t| (0..2).map(|p| result.confusion.count(t, p)).sum::<usize>())
+            .sum();
+        assert_eq!(scored + result.dropped_trials, 4);
     }
 
     #[test]

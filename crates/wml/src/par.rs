@@ -38,11 +38,27 @@
 //! balancing. Chunking only changes how indices are handed out — outputs
 //! are identical for any chunk size.
 //!
+//! # Nesting
+//!
+//! There is one level of worker threads. Every thread [`map_chunked`]
+//! spawns is marked, and a fan-out called on a marked thread — an SVM
+//! trainer or a pair fan-out inside a measurement job, or a measurement
+//! fan-out inside a campaign cell — takes the serial path instead of
+//! spawning: the outer fan-out already keeps every worker busy, and a
+//! second layer of scoped threads only adds spawn and scheduling cost.
+//! A top-level call (from any unmarked thread) still fans out, even when
+//! it sits inside an outer one-item map, which runs serially on the
+//! caller's thread without marking it; so a standalone `WiMi::measure`
+//! keeps its pair fan-out. Outputs are the same either way, because the
+//! serial path is the one `WIMI_THREADS=1` takes.
+//!
 //! # Panics
 //!
 //! A panic inside a worker is forwarded to the caller (the scope joins all
-//! workers first), so `map` behaves like the equivalent serial loop.
+//! workers first), so `map` behaves like the equivalent serial loop. A
+//! panic in a nested inline map unwinds through its worker the same way.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -67,6 +83,12 @@ static CHUNK_ENV: OnceLock<Option<usize>> = OnceLock::new();
 /// the (now cached) environment.
 static THREADS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 static CHUNK_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Set on every thread [`map_chunked`] spawns: a fan-out called from
+    /// one runs inline (see the module docs on nesting).
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
 
 fn threads_env() -> Option<usize> {
     *THREADS_ENV.get_or_init(|| parse_fanout_env(std::env::var("WIMI_THREADS").ok().as_deref()))
@@ -125,8 +147,9 @@ fn chunk_size(n: usize, workers: usize) -> usize {
 ///
 /// Work is distributed dynamically: each worker claims the next unclaimed
 /// chunk of consecutive indices from a shared atomic counter, so uneven
-/// per-item cost balances itself. With one worker (or one item) this
-/// degrades to a plain serial loop with no thread spawn.
+/// per-item cost balances itself. With one worker (or one item), or when
+/// called from inside another fan-out's worker, this degrades to a plain
+/// serial loop with no thread spawn.
 pub fn map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -139,7 +162,8 @@ where
 
 /// The deterministic core of [`map`], with explicit worker count and chunk
 /// size ([`map`] fills both in from the environment). Outputs are
-/// identical for every `(workers, chunk)` combination.
+/// identical for every `(workers, chunk)` combination. On a thread this
+/// function spawned, it runs serially whatever `workers` says.
 pub fn map_chunked<T, R, F>(items: &[T], workers: usize, chunk: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -148,7 +172,7 @@ where
 {
     let n = items.len();
     let workers = workers.min(n);
-    if workers <= 1 {
+    if workers <= 1 || IN_WORKER.with(Cell::get) {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
     let chunk = chunk.max(1);
@@ -159,6 +183,7 @@ where
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
+                    IN_WORKER.with(|w| w.set(true));
                     let mut out = Vec::new();
                     loop {
                         let start = next.fetch_add(chunk, Ordering::Relaxed);
@@ -357,6 +382,75 @@ mod tests {
             })
         });
         assert!(result.is_err());
+    }
+
+    #[test]
+    fn nested_map_runs_on_the_outer_workers_thread() {
+        let outer: Vec<usize> = (0..8).collect();
+        let same_thread = map_chunked(&outer, 4, 1, |_, _| {
+            let worker = std::thread::current().id();
+            let inner: Vec<usize> = (0..16).collect();
+            map(&inner, |_, _| std::thread::current().id())
+                .into_iter()
+                .all(|id| id == worker)
+        });
+        assert!(same_thread.iter().all(|&s| s));
+    }
+
+    #[test]
+    fn nested_map_matches_serial_for_any_worker_chunk_combination() {
+        let outer: Vec<usize> = (0..13).collect();
+        let inner: Vec<usize> = (0..103).collect();
+        let serial: Vec<Vec<usize>> = outer
+            .iter()
+            .map(|&o| inner.iter().map(|&x| o * 1000 + x * 3 + 1).collect())
+            .collect();
+        for outer_workers in [1usize, 2, 3, 4, 7] {
+            for inner_workers in [1usize, 2, 3, 4, 7] {
+                for chunk in [1usize, 2, 5, 16, 103, 1000] {
+                    let out = map_chunked(&outer, outer_workers, chunk, |_, &o| {
+                        map_chunked(&inner, inner_workers, chunk, |i, &x| {
+                            assert_eq!(i, x);
+                            o * 1000 + x * 3 + 1
+                        })
+                    });
+                    assert_eq!(
+                        out, serial,
+                        "outer={outer_workers} inner={inner_workers} chunk={chunk}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn nested_inline_panic_reaches_the_top_level_caller() {
+        let result = std::panic::catch_unwind(|| {
+            let outer: Vec<usize> = (0..8).collect();
+            map_chunked(&outer, 4, 1, |_, &o| {
+                let inner: Vec<usize> = (0..8).collect();
+                map_chunked(&inner, 4, 1, |_, &x| {
+                    if o == 5 && x == 3 {
+                        panic!("boom");
+                    }
+                    x
+                })
+            })
+        });
+        assert!(result.is_err());
+    }
+
+    #[test]
+    fn fan_out_under_a_one_item_top_level_map_still_spawns() {
+        // A one-item outer map runs on the caller's thread without marking
+        // it, so the inner fan-out keeps its workers (a standalone
+        // `WiMi::measure` relies on this).
+        let caller = std::thread::current().id();
+        let inner: Vec<usize> = (0..4).collect();
+        let ids = map_chunked(&[0u8], 4, 1, |_, _| {
+            map_chunked(&inner, 2, 1, |_, _| std::thread::current().id())
+        });
+        assert!(ids[0].iter().all(|&id| id != caller));
     }
 
     #[test]

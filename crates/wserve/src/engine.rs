@@ -238,7 +238,8 @@ impl Engine {
     }
 
     /// Processes everything queued: measurements fan out one shard per
-    /// [`wimi_core::par`] worker (serial inside a shard), then measured
+    /// [`wimi_core::par`] worker (serial inside a shard, each
+    /// measurement's pair fan-out running inline on it), then measured
     /// features are classified in model-keyed batches. Responses come
     /// back sorted by `(session, seq)` regardless of thread count.
     ///

@@ -22,9 +22,11 @@
 //! * the artifact orders events by `(task, seq)`, never by arrival.
 //!
 //! The thread-local current task is installed with [`task_scope`] at the
-//! top of each fan-out job. Nested fan-outs do *not* inherit it, so code
-//! inside an inner `par::map` must stay silent and let the caller emit
-//! per-item events after the join (in deterministic item order).
+//! top of each fan-out job. A fan-out nested inside a job runs inline on
+//! that job's thread and inherits it, but a top-level caller's inner
+//! fan-out spawns threads that do *not*, so code inside an inner
+//! `par::map` must stay silent and let the caller emit per-item events
+//! after the join (in deterministic item order).
 //!
 //! ## Artifact
 //!

@@ -40,10 +40,11 @@ thread_local! {
 /// Installs `key` as the current task for this thread until the guard
 /// drops; the previous key is restored (scopes nest).
 ///
-/// Worker threads created by an inner `par::map` do **not** inherit the
-/// key — code running inside a nested fan-out must not emit (it would be
-/// misattributed to the worker's default `run` task); emit after the
-/// join instead.
+/// A `par::map` nested inside a fan-out worker runs inline on that
+/// worker, so it inherits the key. A top-level caller's inner fan-out
+/// still spawns threads that do **not** inherit it — code running inside
+/// an inner `par::map` must not emit (it would be misattributed to the
+/// worker's default `run` task); emit after the join instead.
 pub fn task_scope(key: TaskKey) -> TaskScope {
     let prev = CURRENT_TASK.with(|c| c.replace(key));
     TaskScope { prev }
