@@ -24,6 +24,7 @@
 use crate::amplitude::AmplitudeRatioProfile;
 use crate::error::FeatureError;
 use crate::phase::PhaseDifferenceProfile;
+use std::sync::OnceLock;
 use wimi_dsp::stats::{mean, std_dev, wrap_to_pi};
 
 /// Physically plausible range for Ω̄ of liquids at 5 GHz: oil ≈ 0.04,
@@ -428,11 +429,9 @@ impl MaterialFeature {
                 .collect();
             let mut best_omega = f64::NAN;
             let mut best_score = f64::INFINITY;
-            let n_grid = 600usize;
-            let (lo, hi) = (OMEGA_GRID_MIN, OMEGA_MEAN_MAX);
-            let mut grid_scores = Vec::with_capacity(n_grid);
-            for i in 0..n_grid {
-                let omega = lo * (hi / lo).powf(i as f64 / (n_grid - 1) as f64);
+            let grid = omega_grid();
+            let mut grid_scores = Vec::with_capacity(grid.len());
+            for &omega in grid {
                 let mut score = 0.0;
                 let mut wsum: f64 = 0.0;
                 for (p, &dt) in per_pair.iter().zip(&dt_band) {
@@ -460,7 +459,7 @@ impl MaterialFeature {
                     wsum += 1.0;
                 }
                 score /= wsum.max(1e-9);
-                grid_scores.push((omega, score));
+                grid_scores.push(score);
                 if score < best_score {
                     best_score = score;
                     best_omega = omega;
@@ -478,23 +477,29 @@ impl MaterialFeature {
             // An Ω̄ rival only counts if it implies a different γ vector —
             // a smooth score ridge around the same wraps (small-phase
             // liquids) is not ambiguity.
-            let gamma_vector = |omega: f64| -> Vec<i32> {
-                per_pair
-                    .iter()
-                    .zip(&dt_band)
-                    .map(|(p, &dt)| {
-                        ((-p.ln_psi_band / omega - dt) / std::f64::consts::TAU).round() as i32
-                    })
-                    .collect()
+            let wraps = |ln_psi_band: f64, dt: f64, omega: f64| -> i32 {
+                ((-ln_psi_band / omega - dt) / std::f64::consts::TAU).round() as i32
             };
-            let best_gammas = gamma_vector(best_omega);
-            let rival = grid_scores
+            let best_gammas: Vec<i32> = per_pair
                 .iter()
-                .filter(|(o, _)| {
+                .zip(&dt_band)
+                .map(|(p, &dt)| wraps(p.ln_psi_band, dt, best_omega))
+                .collect();
+            // A grid point implies a different γ vector iff any pair's
+            // wrap count differs from the best point's; comparing them in
+            // place allocates nothing per point.
+            let rival = grid
+                .iter()
+                .zip(&grid_scores)
+                .filter(|&(&o, _)| {
                     (o / best_omega).ln().abs() > AMBIGUITY_LOG_SEPARATION
-                        && gamma_vector(*o) != best_gammas
+                        && per_pair
+                            .iter()
+                            .zip(&dt_band)
+                            .zip(&best_gammas)
+                            .any(|((p, &dt), &g)| wraps(p.ln_psi_band, dt, o) != g)
                 })
-                .map(|&(_, s)| s)
+                .map(|(_, &s)| s)
                 .fold(f64::INFINITY, f64::min);
             if rival - best_score < AMBIGUITY_MARGIN {
                 return Err(FeatureError::NoConsistentFeature {
@@ -613,6 +618,22 @@ const LOW_LOSS_MIN_PHASE: f64 = 0.15;
 const JOINT_SPREAD_GATE: f64 = 1.5;
 /// Lower edge of the multi-baseline Ω̄ search grid.
 const OMEGA_GRID_MIN: f64 = 0.01;
+/// Points in the multi-baseline Ω̄ search grid.
+const OMEGA_GRID_POINTS: usize = 600;
+
+/// The multi-baseline Ω̄ search grid, log-spaced over
+/// `[OMEGA_GRID_MIN, OMEGA_MEAN_MAX]`. It depends on constants only, so it
+/// is built once per process; `powf` is deterministic, so each point has
+/// the bits a per-measurement evaluation of the same expression gives.
+fn omega_grid() -> &'static [f64] {
+    static GRID: OnceLock<Vec<f64>> = OnceLock::new();
+    GRID.get_or_init(|| {
+        let (lo, hi) = (OMEGA_GRID_MIN, OMEGA_MEAN_MAX);
+        (0..OMEGA_GRID_POINTS)
+            .map(|i| lo * (hi / lo).powf(i as f64 / (OMEGA_GRID_POINTS - 1) as f64))
+            .collect()
+    })
+}
 /// Assumed std dev of the wrapped-phase residual (radians).
 const PHASE_RESIDUAL_STD: f64 = 0.20;
 /// Assumed std dev of the frequency-slope unwrapped-phase estimate

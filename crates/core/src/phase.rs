@@ -42,10 +42,10 @@ impl PhaseDifferenceProfile {
         let mut mean = Vec::with_capacity(n_sub);
         let mut variance = Vec::with_capacity(n_sub);
         let mut series = Vec::new();
-        let mut dev = Vec::new();
+        let mut terms = Vec::new();
         for k in 0..n_sub {
             capture.phase_difference_series_into(a, b, k, &mut series);
-            let (m, v) = phase_summary(&series, PHASE_TRIM_FRACTION, &mut dev);
+            let (m, v) = phase_summary(&series, PHASE_TRIM_FRACTION, &mut terms);
             mean.push(m);
             variance.push(v);
         }

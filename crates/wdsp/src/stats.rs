@@ -150,7 +150,13 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
 /// Wraps an angle to `(−π, π]`.
 pub fn wrap_to_pi(theta: f64) -> f64 {
     let tau = std::f64::consts::TAU;
-    let mut t = theta % tau;
+    // `fmod` is exact and returns θ itself when |θ| < τ, so that (common)
+    // case skips it; NaN and ±∞ fail the test and still take `%`.
+    let mut t = if theta.abs() < tau {
+        theta
+    } else {
+        theta % tau
+    };
     if t > std::f64::consts::PI {
         t -= tau;
     } else if t <= -std::f64::consts::PI {
@@ -251,19 +257,35 @@ pub fn phase_variance(angles: &[f64]) -> f64 {
     centered.iter().map(|d| d * d).sum::<f64>() / centered.len() as f64
 }
 
+/// One angle's terms in [`phase_summary`]: its `sin`/`cos` and its
+/// wrapped deviation from the series' circular mean.
+#[derive(Debug, Clone, Copy)]
+pub struct AngleTerms {
+    /// `wrap_to_pi(a − circular_mean)`.
+    pub dev: f64,
+    /// `a.sin()`.
+    pub sin: f64,
+    /// `a.cos()`.
+    pub cos: f64,
+}
+
 /// Computes [`trimmed_circular_mean`] and [`phase_variance`] of one angle
-/// series in a single pass over the shared circular mean, through a
-/// caller-owned deviation scratch buffer.
+/// series in one trig pass, through a caller-owned scratch buffer.
 ///
-/// Both statistics reference every angle to `circular_mean(angles)`;
-/// computing them together evaluates that mean (and the per-angle
-/// `sin`/`cos`) once instead of twice, returning exactly the bits the two
-/// separate calls would.
+/// Each angle's `sin`/`cos` and its wrapped deviation from the circular
+/// mean are evaluated once and reused by the mean, the variance, the trim
+/// sort and the trimmed re-sum. The sums run in the same order and the
+/// sort is the same stable sort, so the result has exactly the bits the
+/// two separate calls return.
 ///
 /// # Panics
 ///
 /// Panics if `trim_fraction` is not within `[0, 0.5]`.
-pub fn phase_summary(angles: &[f64], trim_fraction: f64, dev: &mut Vec<(f64, f64)>) -> (f64, f64) {
+pub fn phase_summary(
+    angles: &[f64],
+    trim_fraction: f64,
+    terms: &mut Vec<AngleTerms>,
+) -> (f64, f64) {
     assert!(
         (0.0..=0.5).contains(&trim_fraction),
         "trim fraction must be within [0, 0.5]"
@@ -271,25 +293,29 @@ pub fn phase_summary(angles: &[f64], trim_fraction: f64, dev: &mut Vec<(f64, f64
     if angles.is_empty() {
         return (f64::NAN, f64::NAN);
     }
-    let first = circular_mean(angles);
-    let variance = angles
+    terms.clear();
+    terms.extend(angles.iter().map(|&a| AngleTerms {
+        dev: 0.0,
+        sin: a.sin(),
+        cos: a.cos(),
+    }));
+    let (s, c) = terms
         .iter()
-        .map(|&a| {
-            let d = wrap_to_pi(a - first);
-            d * d
-        })
-        .sum::<f64>()
-        / angles.len() as f64;
+        .fold((0.0, 0.0), |(s, c), t| (s + t.sin, c + t.cos));
+    let first = s.atan2(c);
+    for (t, &a) in terms.iter_mut().zip(angles) {
+        t.dev = wrap_to_pi(a - first);
+    }
+    let variance = terms.iter().map(|t| t.dev * t.dev).sum::<f64>() / angles.len() as f64;
     let n_drop = ((angles.len() as f64) * trim_fraction).floor() as usize;
     if n_drop == 0 || angles.len() - n_drop < 2 {
         return (first, variance);
     }
-    dev.clear();
-    dev.extend(angles.iter().map(|&a| (wrap_to_pi(a - first).abs(), a)));
-    dev.sort_by(|x, y| x.0.total_cmp(&y.0));
-    let (s, c) = dev[..angles.len() - n_drop]
+    terms.sort_by(|x, y| x.dev.abs().total_cmp(&y.dev.abs()));
+    let (s, c) = terms
         .iter()
-        .fold((0.0, 0.0), |(s, c), &(_, a)| (s + a.sin(), c + a.cos()));
+        .take(angles.len() - n_drop)
+        .fold((0.0, 0.0), |(s, c), t| (s + t.sin, c + t.cos));
     (s.atan2(c), variance)
 }
 
@@ -448,15 +474,81 @@ mod tests {
 
     #[test]
     fn phase_summary_matches_separate_calls_bitwise() {
-        let mut dev = Vec::new();
-        for n in [0usize, 1, 3, 4, 10, 57] {
-            let angles: Vec<f64> = (0..n).map(|i| wrap_to_pi((i as f64) * 2.9)).collect();
-            for trim in [0.0, 0.2, 0.5] {
-                let (m, v) = phase_summary(&angles, trim, &mut dev);
-                let m_ref = trimmed_circular_mean(&angles, trim);
-                let v_ref = phase_variance(&angles);
+        // Families: spread angles; ± pairs whose |deviations| tie exactly
+        // (the mean is exactly 0 for even lengths), where only a stable
+        // trim sort keeps the re-sum order; and a series with impulse hits.
+        let families: [fn(usize) -> f64; 3] = [
+            |i| wrap_to_pi((i as f64) * 2.9),
+            |i| {
+                let x = 0.1 * ((i / 2) % 4 + 1) as f64;
+                if i % 2 == 0 {
+                    x
+                } else {
+                    -x
+                }
+            },
+            |i| {
+                if i % 7 == 3 {
+                    3.0
+                } else {
+                    0.05 * (i as f64).sin()
+                }
+            },
+        ];
+        let mut terms = Vec::new();
+        let mut check = |angles: &[f64]| {
+            for trim in [0.0, 0.1, 0.2, 0.25, 0.5] {
+                let (m, v) = phase_summary(angles, trim, &mut terms);
+                let m_ref = trimmed_circular_mean(angles, trim);
+                let v_ref = phase_variance(angles);
+                let n = angles.len();
                 assert_eq!(m.to_bits(), m_ref.to_bits(), "mean n={n} trim={trim}");
                 assert_eq!(v.to_bits(), v_ref.to_bits(), "var n={n} trim={trim}");
+            }
+        };
+        check(&[]);
+        for family in families {
+            for n in (1..=40).chain([57]) {
+                let angles: Vec<f64> = (0..n).map(family).collect();
+                check(&angles);
+            }
+        }
+        check(&[0.1, f64::NAN, -0.2, 0.3, 0.0]);
+    }
+
+    /// The `%`-only implementation the fast path must reproduce.
+    fn wrap_reference(theta: f64) -> f64 {
+        let tau = std::f64::consts::TAU;
+        let mut t = theta % tau;
+        if t > PI {
+            t -= tau;
+        } else if t <= -PI {
+            t += tau;
+        }
+        t
+    }
+
+    #[test]
+    fn wrap_to_pi_matches_fmod_reference_bitwise() {
+        use std::f64::consts::TAU;
+        let mut inputs = Vec::new();
+        for x in [0.0, PI, PI + 1.0, TAU, 3.0 * PI, 1e300, f64::MIN_POSITIVE] {
+            for v in [x, x.next_up(), x.next_down()] {
+                inputs.extend([v, -v]);
+            }
+        }
+        inputs.extend([5e-324, -5e-324, 1e-310, -1e-310]);
+        inputs.extend([f64::INFINITY, f64::NEG_INFINITY, f64::NAN]);
+        let steps = 100_000;
+        inputs.extend((1..2 * steps).map(|i| 4.0 * TAU * (i as f64 / steps as f64 - 1.0)));
+        for theta in inputs {
+            let got = wrap_to_pi(theta);
+            let want = wrap_reference(theta);
+            assert_eq!(got.to_bits(), want.to_bits(), "wrap_to_pi({theta:e})");
+            if theta.is_finite() {
+                assert!(got > -PI && got <= PI, "wrap_to_pi({theta:e}) = {got}");
+            } else {
+                assert!(got.is_nan());
             }
         }
     }

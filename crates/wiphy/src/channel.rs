@@ -298,20 +298,40 @@ impl MultipathChannel {
             .sum()
     }
 
-    /// Static per-scatterer path gains at one receive antenna and
-    /// frequency: `gain_n · e^{−jβ₀·(d_tx→n + d_n→rx)}`. These depend only
-    /// on the (fixed) geometry, so a caller generating many packets can
-    /// compute them once and combine each packet's jitter with
-    /// [`Self::response_from_gains`] — the distance and `cis` work per
-    /// scatterer then drops out of the packet loop.
-    pub fn path_gains(&self, tx: Point, rx: Point, f: Hertz) -> Vec<Complex> {
+    /// Per-scatterer path lengths `d_tx→n + d_n→rx` (metres) of one link,
+    /// the geometry input to [`Self::path_gains`]. They depend only on the
+    /// (fixed) positions, so a caller computes them once per antenna.
+    pub fn path_lengths(&self, tx: Point, rx: Point) -> Vec<f64> {
+        self.scatterers
+            .iter()
+            .map(|s| tx.distance_to(s.position).value() + s.position.distance_to(rx).value())
+            .collect()
+    }
+
+    /// Static per-scatterer path gains at one frequency,
+    /// `gain_n · e^{−jβ₀·d_n}`, given the link's [`Self::path_lengths`].
+    /// These depend only on the (fixed) geometry, so a caller generating
+    /// many packets can compute them once and combine each packet's jitter
+    /// with [`Self::response_from_gains`] — the distance and `cis` work
+    /// per scatterer then drops out of the packet loop. `d_n` is the same
+    /// expression [`Self::response`] evaluates, so the gains match it bit
+    /// for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lengths` was built from a channel with a different
+    /// number of scatterers.
+    pub fn path_gains(&self, lengths: &[f64], f: Hertz) -> Vec<Complex> {
+        assert_eq!(
+            lengths.len(),
+            self.scatterers.len(),
+            "path lengths do not match this channel"
+        );
         let beta0 = f.angular() / crate::constants::SPEED_OF_LIGHT;
         self.scatterers
             .iter()
-            .map(|s| {
-                let d = tx.distance_to(s.position).value() + s.position.distance_to(rx).value();
-                s.gain * Complex::cis(-beta0 * d)
-            })
+            .zip(lengths)
+            .map(|(s, &d)| s.gain * Complex::cis(-beta0 * d))
             .collect()
     }
 
@@ -459,13 +479,14 @@ mod tests {
         let (tx, rx) = link();
         let mut rng = StdRng::seed_from_u64(5);
         let ch = MultipathChannel::realize(Environment::Lab, tx, rx, &mut rng);
-        let gains = ch.path_gains(tx, rx, F);
+        let gains = ch.path_gains(&ch.path_lengths(tx, rx), F);
         for _ in 0..8 {
             let j = ch.draw_jitter(&mut rng);
             let direct = ch.response(tx, rx, F, &j, None);
             let cached = ch.response_from_gains(&gains, &j);
-            assert!(
-                (direct - cached).abs() < 1e-12,
+            assert_eq!(
+                (direct.re.to_bits(), direct.im.to_bits()),
+                (cached.re.to_bits(), cached.im.to_bits()),
                 "cached gains diverge: {direct:?} vs {cached:?}"
             );
         }

@@ -137,7 +137,6 @@ impl HardwareProfile {
     /// Panics if the plane lengths differ from
     /// `n_antennas · n_subcarriers`.
     // wlint: hot
-    // wlint: allow(panic-reach) — plane indices row + k < n_antennas·n_subcarriers, asserted at entry
     pub fn apply_planes<R: Rng + ?Sized>(
         &self,
         re: &mut [f64],
@@ -160,7 +159,24 @@ impl HardwareProfile {
         };
         let agc = db_to_amp(self.agc_wobble_db * rng.sample(StandardNormal));
 
-        for a in 0..n_antennas {
+        // k(λ_b + λ_s) + β phase corruption, Eq. (5): one `cis` per
+        // subcarrier per packet, applied to every antenna. This pass draws
+        // no randomness, so the per-antenna draws below keep their order;
+        // and `h·corrupt·gain` is left-associative, so storing `h·corrupt`
+        // in the plane and scaling it by `gain` below rounds exactly like
+        // the single expression.
+        for k in 0..n_subcarriers {
+            let corrupt = Complex::cis(cfo_intercept + slope * k as f64);
+            let column = re.iter_mut().zip(im.iter_mut()).skip(k);
+            for (r, i) in column.step_by(n_subcarriers) {
+                let h = Complex::new(*r, *i) * corrupt;
+                *r = h.re;
+                *i = h.im;
+            }
+        }
+
+        let mut samples = re.iter_mut().zip(im.iter_mut());
+        for _ in 0..n_antennas {
             let ripple = db_to_amp(self.antenna_gain_ripple_db * rng.sample(StandardNormal));
             let impulse_hit = rng.gen::<f64>() < self.impulse_probability;
             let outlier_hit = rng.gen::<f64>() < self.outlier_probability;
@@ -176,13 +192,9 @@ impl HardwareProfile {
             };
 
             let gain = agc * ripple * outlier_gain;
-            let row = a * n_subcarriers;
-            for k in 0..n_subcarriers {
-                let i = row + k;
-                let mut h = Complex::new(re[i], im[i]);
-                // k(λ_b + λ_s) + β phase corruption, Eq. (5).
-                let corrupt = Complex::cis(cfo_intercept + slope * k as f64);
-                h = h * corrupt * gain;
+            for (r, i) in samples.by_ref().take(n_subcarriers) {
+                // The plane already holds `h·corrupt` (pass above).
+                let mut h = Complex::new(*r, *i) * gain;
                 // Impulse burst: a short broadband additive spike.
                 if impulse_hit {
                     let spike = Complex::from_polar(
@@ -198,8 +210,8 @@ impl HardwareProfile {
                         self.noise_std * rng.sample(StandardNormal),
                     );
                 }
-                re[i] = h.re;
-                im[i] = h.im;
+                *r = h.re;
+                *i = h.im;
             }
         }
 
@@ -248,14 +260,29 @@ pub fn quantize_intel5300_planes(re: &mut [f64], im: &mut [f64]) {
     if max_c <= 0.0 {
         return;
     }
-    let scale = 127.0 / max_c;
+    // Below 127/f64::MAX (≈7.1e-307) the scale overflows to ∞ and every
+    // sample, zeros included, would come back NaN. Lifting the samples by
+    // an exact power of two keeps them on the same 8-bit grid. `lift` is 1
+    // whenever the scale is finite, and ×1 and ÷1 are exact, so those
+    // packets keep their bits.
+    let lift = if (127.0 / max_c).is_finite() {
+        1.0
+    } else {
+        QUANTIZE_LIFT
+    };
+    let scale = 127.0 / (max_c * lift);
     for x in re.iter_mut() {
-        *x = (*x * scale).round() / scale;
+        *x = (*x * lift * scale).round() / scale / lift;
     }
     for x in im.iter_mut() {
-        *x = (*x * scale).round() / scale;
+        *x = (*x * lift * scale).round() / scale / lift;
     }
 }
+
+/// 2^600 (biased exponent 1023 + 600, zero mantissa): lifts any tiny
+/// maximum (2^−1074 ≤ max < 2^−1016) to where `127/max` is finite, far
+/// from overflow.
+const QUANTIZE_LIFT: f64 = f64::from_bits((1023 + 600) << 52);
 
 #[cfg(test)]
 mod tests {
@@ -389,6 +416,34 @@ mod tests {
         let mut p = CsiPacket::zeros(1, 4);
         quantize_intel5300(&mut p);
         assert_eq!(p.get(0, 0), Complex::ZERO);
+    }
+
+    #[test]
+    fn quantize_keeps_tiny_packets_finite() {
+        // Regression: below max ≈ 7.1e-307 the scale 127/max overflowed to
+        // ∞ and every sample, zeros included, came back NaN.
+        assert_eq!(QUANTIZE_LIFT, 2f64.powi(600));
+        for max_c in [1e-306, 7e-307, 1e-310, 5e-324] {
+            let re = [max_c, -max_c / 3.0, 0.0, -0.0];
+            let im = [max_c / 2.0, 0.0, -max_c, 0.7 * max_c];
+            let (mut qre, mut qim) = (re, im);
+            quantize_intel5300_planes(&mut qre, &mut qim);
+            for (q, x) in qre.iter().chain(&qim).zip(re.iter().chain(&im)) {
+                assert!(q.is_finite(), "max {max_c:e}: {x:e} became {q}");
+                if *x == 0.0 {
+                    assert_eq!(q.to_bits(), x.to_bits(), "zero must stay exact");
+                }
+                // Within half an 8-bit step (plus one subnormal ulp).
+                assert!((q - x).abs() <= max_c / 254.0 * (1.0 + 1e-9) + 5e-324);
+            }
+            if (127.0 / max_c).is_finite() {
+                // A finite scale keeps the plain formula's bits.
+                let scale = 127.0 / max_c;
+                for (q, x) in qre.iter().chain(&qim).zip(re.iter().chain(&im)) {
+                    assert_eq!(q.to_bits(), ((x * scale).round() / scale).to_bits());
+                }
+            }
+        }
     }
 
     #[test]

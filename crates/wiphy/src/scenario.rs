@@ -393,10 +393,13 @@ pub struct Simulator {
     /// impairments are stochastic per packet.
     insertions_cache: Option<Vec<Vec<Complex>>>,
     /// Static multipath path gains per antenna × subcarrier × scatterer
-    /// (`gain · e^{−jβ₀d}` for each scatterer). The scatterer geometry is
-    /// fixed once the channel is realised, so only the per-packet jitter
-    /// multipliers vary; caching these drops the per-scatterer distance
-    /// and `cis` work (the dominant per-packet cost) out of the loop.
+    /// (`gain · e^{−jβ₀d}` for each scatterer), computed once per
+    /// simulator from path lengths `d` taken once per (antenna,
+    /// scatterer). The scatterer geometry is fixed once the channel is
+    /// realised, so only the per-packet jitter multipliers vary and the
+    /// per-packet multipath term is a dot product with them. Per packet,
+    /// the cost is now dominated by the hardware's Box–Muller thermal
+    /// noise, whose draw count the RNG stream fixes.
     mp_gains: Vec<Vec<Vec<Complex>>>,
     /// Ray-perturbation spread (amplitude σ, phase σ), hoisted from the
     /// per-packet draw; `None` when the scenario is perturbation-free.
@@ -438,9 +441,13 @@ fn compute_multipath_gains(
         .rx_array()
         .iter()
         .map(|&rx_pos| {
+            // Path lengths are per antenna, not per subcarrier: one
+            // evaluation of the same `hypot` sum serves every frequency,
+            // so each gain keeps its bits.
+            let lengths = multipath.path_lengths(tx, rx_pos);
             freqs
                 .iter()
-                .map(|&f| multipath.path_gains(tx, rx_pos, f))
+                .map(|&f| multipath.path_gains(&lengths, f))
                 .collect()
         })
         .collect()
@@ -530,13 +537,14 @@ impl Simulator {
         self.insertions_cache = None;
     }
 
-    /// Drops every cached invariant so the next packet recomputes from
-    /// scratch: the per-subcarrier frequencies, the free-space LoS
-    /// responses, the static multipath path gains, and the target
-    /// insertion factors (everything that used to be recomputed per
-    /// packet). Caches repopulate automatically and results are
-    /// identical; this exists so benchmarks can measure the uncached
-    /// path.
+    /// Recomputes every per-simulator invariant and drops the target
+    /// insertion factors so the next packet rebuilds them: the
+    /// per-subcarrier frequencies, the free-space LoS responses and the
+    /// static multipath path gains are rebuilt here (all computed once per
+    /// simulator, never per packet), and the insertion factors once per
+    /// (simulator, liquid) on the next packet. Results are identical; this
+    /// exists so benchmarks can measure the uncached path by calling it
+    /// before every packet.
     pub fn invalidate_caches(&mut self) {
         let n_sub = self.scenario.channel.num_subcarriers();
         self.freqs = (0..n_sub)
